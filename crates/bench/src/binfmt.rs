@@ -1382,9 +1382,11 @@ pub fn violation_report_from_binary(buf: &[u8]) -> Result<ViolationReport, Decod
     dec_violation_report(&mut r)
 }
 
-/// Serialize one checkpoint transfer as a binary frame: the digest is
-/// computed **before** encoding (exactly like the JSON form), `meta`
-/// carries the service's routing fields (op, target, lease, events).
+/// Serialize one checkpoint transfer — the payload a worker host streams
+/// to the coordinator after every wave — as a binary frame: the digest is
+/// computed **before** encoding for end-to-end replication validation,
+/// `meta` carries the service's routing fields (op, target, lease,
+/// events).
 pub fn checkpoint_transfer_to_binary(job: &str, cp: &MatrixCheckpoint, meta: &Json) -> Vec<u8> {
     FrameBuilder::new(KIND_TRANSFER)
         .str_section(TAG_JOB, job)
@@ -1404,9 +1406,9 @@ pub struct BinaryTransfer {
     pub meta: Json,
 }
 
-/// Decode a frame written by [`checkpoint_transfer_to_binary`].  Like the
-/// JSON codec this rejects a wave header that disagrees with the payload,
-/// and does **not** verify the digest — callers decide.
+/// Decode a frame written by [`checkpoint_transfer_to_binary`].  Rejects
+/// a wave header that disagrees with the payload, and does **not** verify
+/// the digest — callers decide.
 pub fn checkpoint_transfer_from_binary(buf: &[u8]) -> Result<BinaryTransfer, DecodeError> {
     let frame = parse_frame(buf)?;
     if frame.kind != KIND_TRANSFER {
@@ -1429,9 +1431,7 @@ pub fn checkpoint_transfer_from_binary(buf: &[u8]) -> Result<BinaryTransfer, Dec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{
-        checkpoint_transfer_to_json, matrix_checkpoint_to_json, violation_report_to_json,
-    };
+    use crate::report::{matrix_checkpoint_to_json, violation_report_to_json};
     use revizor::campaign::NoopObserver;
     use revizor::orchestrator::CampaignMatrix;
     use revizor::targets::Target;
@@ -1489,9 +1489,12 @@ mod tests {
         assert_eq!(decoded.transfer.checkpoint, cp);
         assert!(decoded.transfer.validates());
         assert_eq!(decoded.meta.get("lease").and_then(Json::as_u64), Some(77));
-        // The JSON transfer of the same snapshot carries the same digest.
-        let json_doc = checkpoint_transfer_to_json("j-bin-1", &cp);
-        assert_eq!(json_doc.get("digest").and_then(Json::as_u64), Some(decoded.transfer.digest));
+        // The digest is the sender's, computed before encoding; tampering
+        // with the payload (or a codec regression) is caught.
+        assert_eq!(decoded.transfer.digest, cp.digest());
+        let mut tampered = decoded.transfer.clone();
+        tampered.checkpoint.groups[0].next_index += 1;
+        assert!(!tampered.validates());
         // A frame whose wave header disagrees with its payload is rejected.
         let bad = FrameBuilder::new(KIND_TRANSFER)
             .str_section(TAG_JOB, "j")

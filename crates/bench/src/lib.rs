@@ -55,6 +55,33 @@ pub fn flag_from_args(flag: &str) -> bool {
     std::env::args().skip(1).any(|a| a == flag)
 }
 
+/// Exit with code 2 when the command line carries a flag that `help` does
+/// not document, so a mistyped or removed flag fails loudly instead of
+/// being ignored.  A flag is documented when an option line of the help
+/// text (a line starting with `-`) names it, as in
+/// `  --name=VALUE   description` or `  -h, --help   description`.
+pub fn reject_undocumented_flags(program: &str, help: &str) {
+    if let Some(flag) = undocumented_flag(std::env::args().skip(1), help) {
+        eprintln!("{program}: unknown flag `{flag}` (see --help)");
+        std::process::exit(2);
+    }
+}
+
+/// Testable core of [`reject_undocumented_flags`]: the first argument
+/// naming a flag the help text does not document.
+fn undocumented_flag(args: impl IntoIterator<Item = String>, help: &str) -> Option<String> {
+    let documented: Vec<&str> = help
+        .lines()
+        .map(str::trim_start)
+        .filter(|line| line.starts_with('-'))
+        .flat_map(|line| line.split("  ").next().unwrap_or(line).split(", "))
+        .map(|option| option.split(['=', ' ']).next().unwrap_or(option))
+        .collect();
+    args.into_iter()
+        .filter(|arg| arg.starts_with('-'))
+        .find(|arg| !documented.contains(&arg.split('=').next().unwrap_or(arg)))
+}
+
 /// The parsed value of a `--name=value` flag, if present and parseable.
 pub fn flag_value_from_args<T: std::str::FromStr>(name: &str) -> Option<T> {
     std::env::args().skip(1).find_map(|arg| {
@@ -152,6 +179,23 @@ mod tests {
     fn row_formatting() {
         let r = row(&["a".into(), "bb".into()], &[3, 4]);
         assert_eq!(r, "a   | bb  ");
+    }
+
+    #[test]
+    fn only_flags_named_on_help_option_lines_are_accepted() {
+        let help = "tool: does things\n\nusage: tool [options]\n\n  \
+                    --addr=HOST:PORT   listen address, unlike --hidden\n  \
+                    --coordinator      fleet mode\n  \
+                    -h, --help         this text\n";
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let first_unknown = |list: &[&str]| undocumented_flag(args(list), help);
+        assert_eq!(first_unknown(&["--addr=127.0.0.1:0", "--coordinator", "-h", "--help"]), None);
+        assert_eq!(first_unknown(&["--addr=x", "--bogus=1"]), Some("--bogus=1".to_string()));
+        // Named in a description, not on an option line: still unknown.
+        assert_eq!(first_unknown(&["--hidden"]), Some("--hidden".to_string()));
+        // A bare name or a prefix of a documented flag is no match.
+        assert_eq!(first_unknown(&["--add=x"]), Some("--add=x".to_string()));
+        assert_eq!(first_unknown(&["positional"]), None);
     }
 
     #[test]

@@ -951,7 +951,7 @@ pub fn matrix_checkpoint_from_json(v: &Json) -> Result<MatrixCheckpoint, DecodeE
 }
 
 /// A decoded checkpoint-transfer frame (see
-/// [`checkpoint_transfer_to_json`]).
+/// [`crate::binfmt::checkpoint_transfer_to_binary`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointTransfer {
     /// The job the checkpoint belongs to.
@@ -970,41 +970,6 @@ impl CheckpointTransfer {
     pub fn validates(&self) -> bool {
         self.digest == self.checkpoint.digest()
     }
-}
-
-/// Serialize one checkpoint transfer — the payload a worker host streams to
-/// the coordinator after every wave so the coordinator's spool replica
-/// stays current enough to reassign the job if the worker dies.  The
-/// sender's digest rides along for end-to-end replication validation.
-pub fn checkpoint_transfer_to_json(job: &str, cp: &MatrixCheckpoint) -> Json {
-    Json::obj()
-        .field("job", job)
-        .field("wave", cp.wave)
-        .field("digest", cp.digest())
-        .field("checkpoint", matrix_checkpoint_to_json(cp))
-}
-
-/// Decode a transfer written by [`checkpoint_transfer_to_json`].  Decoding
-/// does **not** verify the digest (callers decide how to handle a
-/// replication mismatch); use [`CheckpointTransfer::validates`].
-///
-/// # Errors
-/// Returns a message for missing/ill-formed fields.
-pub fn checkpoint_transfer_from_json(v: &Json) -> Result<CheckpointTransfer, DecodeError> {
-    let checkpoint =
-        in_field("checkpoint", matrix_checkpoint_from_json(get(v, "checkpoint")?))?;
-    let wave = get_usize(v, "wave")?;
-    if wave != checkpoint.wave {
-        return Err(format!(
-            "transfer wave {wave} disagrees with the checkpoint's wave {}",
-            checkpoint.wave
-        ));
-    }
-    Ok(CheckpointTransfer {
-        job: get_str(v, "job")?.to_string(),
-        digest: get_u64(v, "digest")?,
-        checkpoint,
-    })
 }
 
 /// The **deterministic** part of a matrix result: one object per cell with
@@ -1205,39 +1170,6 @@ mod tests {
             matrix_cells_json(&report).render(),
             "deterministic payloads must be byte-identical"
         );
-    }
-
-    #[test]
-    fn checkpoint_transfer_round_trips_and_validates_mid_run() {
-        use revizor::campaign::NoopObserver;
-        let matrix = CampaignMatrix::new(7)
-            .with_budget(40)
-            .add_cells(Target::target5(), Contract::table3_contracts());
-        let mut run = matrix.start();
-        run.step(&mut NoopObserver);
-        run.step(&mut NoopObserver);
-        let snapshot = run.checkpoint();
-        // Through the writer and parser, as the worker protocol sends it.
-        let doc = checkpoint_transfer_to_json("j-test-1", &snapshot).render();
-        let transfer = checkpoint_transfer_from_json(&parse(&doc).unwrap()).unwrap();
-        assert_eq!(transfer.job, "j-test-1");
-        assert_eq!(transfer.checkpoint, snapshot);
-        assert_eq!(transfer.checkpoint.wave, 2);
-        // End-to-end replication validation: the digest computed before
-        // encoding matches the digest of the decoded snapshot.
-        assert!(transfer.validates(), "encode→decode must preserve the digest");
-        // Tampering with the payload (or a codec regression) is caught.
-        let mut tampered = transfer.clone();
-        tampered.checkpoint.groups[0].next_index += 1;
-        assert!(!tampered.validates());
-        // A transfer whose wave header disagrees with its payload is
-        // rejected at decode time.
-        let bad = Json::obj()
-            .field("job", "j")
-            .field("wave", snapshot.wave + 7)
-            .field("digest", snapshot.digest())
-            .field("checkpoint", matrix_checkpoint_to_json(&snapshot));
-        assert!(checkpoint_transfer_from_json(&bad).is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The campaign server: serve Revizor fuzzing campaigns over TCP.
 //!
 //! ```text
-//! revizor-serve [--addr=127.0.0.1:15790] [--spool=DIR] [--shards=N] [--checkpoint-every=N]
+//! revizor-serve [--addr=127.0.0.1:15790] [--spool=DIR] [--shards=N]
 //!               [--coordinator] [--fleet-addr=127.0.0.1:15791] [--steal-after=SECS]
 //!               [--watermark=N]
 //! ```
@@ -21,19 +21,18 @@
 //!   ignored).  Jobs are stamped with the submitting tenant, and
 //!   `list`/`status`/`result`/`watch`/`cancel` only see the caller's
 //!   own jobs.  Without the flag the server is open (no auth).
-//! * `--shards` — long-lived worker threads, all draining one shared
-//!   queue (highest priority first, FIFO within a priority).
-//! * `--checkpoint-every` — waves between spool checkpoints (default 1).
-//!   Ignored in fleet mode, which always persists every replicated
-//!   wave (the at-most-one-wave-behind failover guarantee).
+//! * `--shards` — in-process shard threads.  Each is a unit driver that
+//!   leases relocatable work units (one per target group of a job) from
+//!   one shared queue (highest priority first, FIFO within a priority),
+//!   exactly like a fleet worker, and replicates a checkpoint into the
+//!   spool after every wave.
 //! * `--coordinator` / `--fleet-addr` — **fleet mode**: listen for
 //!   `revizor-worker` hosts (on `--fleet-addr`, default
 //!   `127.0.0.1:15791`) instead of running local shard threads.  Workers
-//!   register at runtime and *lease* relocatable work units (one per
-//!   target group of a job); checkpoints are replicated into the spool
-//!   after every wave, and the coordinator steals units back from slow
-//!   or dead workers, so hosts can join, leave or crash mid-job with
-//!   byte-identical verdicts.
+//!   register at runtime and lease the same work units over the fleet
+//!   port; checkpoints are replicated into the spool after every wave,
+//!   and the coordinator steals units back from slow or dead workers, so
+//!   hosts can join, leave or crash mid-job with byte-identical verdicts.
 //! * `--worker-timeout` — seconds a unit-holding worker may stay silent
 //!   before it is declared partitioned and its unit requeued (default
 //!   120; workers send at least one frame per wave).
@@ -43,15 +42,14 @@
 //! * `--watermark` — queued-unit backpressure threshold: at or above
 //!   this backlog, `submit` defers with a retry-after hint instead of
 //!   queueing more work (default 1024).
-//! * `--worker-addr` — **deprecated** alias for `--fleet-addr` (workers
-//!   have registered at runtime since the fleet refactor, so the flag
-//!   no longer pins anything); accepted for compatibility.
+//!
+//! Any other flag is rejected with exit code 2.
 //!
 //! The wire protocol (newline-delimited JSON) is documented in
 //! `rvz_service::server`; submit with `revizor-submit` or any line-based
 //! TCP client.
 
-use rvz_bench::{flag_from_args, flag_value_from_args};
+use rvz_bench::{flag_from_args, flag_value_from_args, reject_undocumented_flags};
 use rvz_service::{ServiceConfig, ServiceHandle};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -69,8 +67,8 @@ usage: revizor-serve [options]
   --token-file=FILE       require per-client tokens: one `<token> <tenant>`
                           per line; clients pass --token and only see their
                           tenant's jobs (default: open, no auth)
-  --shards=N              local shard threads (default 2; ignored in fleet mode)
-  --checkpoint-every=N    waves between spool checkpoints (default 1)
+  --shards=N              in-process shard threads leasing work units
+                          (default 2; ignored in fleet mode)
   --coordinator           fleet mode on the default fleet address
   --fleet-addr=HOST:PORT  fleet mode: revizor-worker hosts register here at
                           runtime and lease relocatable work units
@@ -81,8 +79,6 @@ usage: revizor-serve [options]
                           idle worker (default 30)
   --watermark=N           queued-unit backlog at which `submit` defers with a
                           retry-after hint (default 1024)
-  --worker-addr=HOST:PORT DEPRECATED alias for --fleet-addr: workers register
-                          at runtime now, nothing is pinned at launch
   -h, --help              this text
 ";
 
@@ -91,20 +87,12 @@ fn main() {
         print!("{HELP}");
         return;
     }
+    reject_undocumented_flags("revizor-serve", HELP);
     let addr =
         flag_value_from_args::<String>("--addr").unwrap_or_else(|| "127.0.0.1:15790".to_string());
     let spool = flag_value_from_args::<String>("--spool").map(PathBuf::from);
     let shards = flag_value_from_args::<usize>("--shards").unwrap_or(2);
-    let checkpoint_every = flag_value_from_args::<usize>("--checkpoint-every").unwrap_or(1);
-    let deprecated_worker_addr = flag_value_from_args::<String>("--worker-addr");
-    if deprecated_worker_addr.is_some() {
-        eprintln!(
-            "revizor-serve: --worker-addr is deprecated (workers register at runtime now); \
-             use --fleet-addr"
-        );
-    }
     let worker_listen = flag_value_from_args::<String>("--fleet-addr")
-        .or(deprecated_worker_addr)
         .or_else(|| flag_from_args("--coordinator").then(|| "127.0.0.1:15791".to_string()));
 
     let mut config = ServiceConfig {
@@ -113,7 +101,6 @@ fn main() {
         spool_retain: flag_value_from_args::<usize>("--spool-retain"),
         store: flag_value_from_args::<String>("--store").map(PathBuf::from),
         token_file: flag_value_from_args::<String>("--token-file").map(PathBuf::from),
-        checkpoint_every,
         listen: Some(addr),
         worker_listen,
         ..ServiceConfig::default()

@@ -13,10 +13,10 @@
 //! * `--retry-secs` — how long to keep retrying a failed connect before
 //!   exiting (default 30; lets workers start before the coordinator and
 //!   ride out coordinator restarts).
-//! * `--wire-format` — `binary` (default) or `json`: whether to advertise
-//!   binary checkpoint framing at registration.  Forcing `json` is for
-//!   older coordinators and for exercising mixed-format fleets; verdicts
-//!   are format-independent either way.
+//!
+//! Any other flag is rejected with exit code 2.  Grants and checkpoint
+//! transfers are binary frames; a worker must run the coordinator's build
+//! (checkpoint digests are build-specific anyway).
 //!
 //! Workers are stateless and elastic: they join and leave at any time,
 //! leasing one unit (one target group of a job's matrix) at a time.
@@ -26,7 +26,7 @@
 //! unit back and the verdicts come out byte-identical.  Run as many
 //! workers as you have machines.
 
-use rvz_bench::{flag_from_args, flag_value_from_args};
+use rvz_bench::{flag_from_args, flag_value_from_args, reject_undocumented_flags};
 use rvz_service::{Worker, WorkerConfig};
 use std::time::Duration;
 
@@ -34,11 +34,11 @@ const HELP: &str = "revizor-worker: a fleet worker host for revizor-serve
 
 usage: revizor-worker --coordinator=HOST:PORT [options]
 
-  --coordinator=HOST:PORT the coordinator's fleet port (revizor-serve
-                          --fleet-addr), where workers register at runtime
+  --coordinator=HOST:PORT the coordinator's fleet port (the address given
+                          to revizor-serve's --fleet-addr), where workers
+                          register at runtime
   --name=NAME             registration name (default worker-<pid>)
   --retry-secs=SECS       connect retry window (default 30)
-  --wire-format=FORMAT    checkpoint framing: binary (default) or json
   -h, --help              this text
 ";
 
@@ -47,6 +47,7 @@ fn main() {
         print!("{HELP}");
         return;
     }
+    reject_undocumented_flags("revizor-worker", HELP);
     let Some(coordinator) = flag_value_from_args::<String>("--coordinator") else {
         eprintln!("revizor-worker: pass --coordinator=HOST:PORT (the coordinator's fleet port)");
         std::process::exit(2);
@@ -57,14 +58,6 @@ fn main() {
     }
     if let Some(secs) = flag_value_from_args::<u64>("--retry-secs") {
         config.retry_for = Duration::from_secs(secs);
-    }
-    match flag_value_from_args::<String>("--wire-format").as_deref() {
-        None | Some("binary") => {}
-        Some("json") => config.force_json = true,
-        Some(other) => {
-            eprintln!("revizor-worker: unknown --wire-format `{other}` (binary or json)");
-            std::process::exit(2);
-        }
     }
     eprintln!(
         "revizor-worker: `{}` connecting to {} (retry window {:?})",

@@ -2,9 +2,11 @@
 //!
 //! A coordinator is a campaign server whose jobs run on an **elastic fleet
 //! of worker hosts** (`revizor-worker` processes) instead of in-process
-//! shard threads.  Clients see the exact same JSON-lines protocol; behind
-//! the core, a second listener accepts worker connections at any time and
-//! a poll reactor (same shape as [`crate::server`]) drives the unit queue:
+//! shard threads.  Clients see the exact same JSON-lines protocol, and the
+//! units come from the same core queue the shards lease from; behind the
+//! core, a second listener accepts worker connections at any time and a
+//! poll reactor (same shape as [`crate::server`]) carries the core's lease
+//! API over TCP:
 //!
 //! ```text
 //!            clients                          worker fleet (elastic)
@@ -27,7 +29,9 @@
 //!
 //! ## The replication contract
 //!
-//! After every wave a worker sends its unit's sub-checkpoint (with its
+//! Grants and checkpoint transfers are binary frames ([`binfmt`]); every
+//! other frame, in both directions, is a JSON line.  After every wave a
+//! worker sends its unit's sub-checkpoint (with its
 //! [`digest`](revizor::orchestrator::MatrixCheckpoint::digest) computed
 //! *before* encoding) and blocks for the coordinator's `ack`.  The
 //! coordinator re-digests the decoded snapshot — a mismatch means the
@@ -54,15 +58,14 @@
 //!   of which stops at the next wave boundary and reports back its
 //!   stopping checkpoint (`unit_cancelled`).
 //! * **Priorities** — leasing picks units of the highest-priority job
-//!   (FIFO within a priority), exactly like the in-process shard workers.
+//!   (FIFO within a priority): the fleet and the in-process shards share
+//!   one lease implementation.
 
 use crate::core::{ServiceCore, UnitDisposition, UnitGrant};
 use crate::framing;
 use rvz_bench::binfmt;
 use rvz_bench::json::{parse, Json};
-use rvz_bench::report::{
-    checkpoint_transfer_from_binary, checkpoint_transfer_from_json, CheckpointTransfer,
-};
+use rvz_bench::report::{checkpoint_transfer_from_binary, CheckpointTransfer};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -77,11 +80,6 @@ struct WorkerConn {
     /// The name the worker registered under (empty until `register`).
     name: String,
     registered: bool,
-    /// Did the worker advertise binary-frame support (`"binary": true` in
-    /// its `register` frame)?  Grants to it go out as binary frames and
-    /// it answers with binary wave transfers; JSON-only workers coexist
-    /// on the same port.
-    binary: bool,
     /// Has the worker asked for work (`lease`) it has not been granted yet?
     wants_work: bool,
     /// When the connection last produced bytes, for the silent-partition
@@ -147,7 +145,6 @@ impl Coordinator {
                             outbuf: Vec::new(),
                             name: String::new(),
                             registered: false,
-                            binary: false,
                             wants_work: false,
                             last_heard: Instant::now(),
                             unit: None,
@@ -280,19 +277,18 @@ impl Coordinator {
                     .unwrap_or("anonymous")
                     .to_string();
                 conn.registered = true;
-                conn.binary = frame.get("binary").and_then(Json::as_bool) == Some(true);
                 conn.queue_line(&Json::obj().field("op", "registered"));
             }
             Some("lease") => conn.wants_work = true,
             // Any frame already refreshed `last_heard`; heartbeats exist
             // only to do that while a worker waits for a grant.
             Some("heartbeat") => {}
-            Some("wave") => Self::handle_wave(core, conn, &frame),
-            Some("unit_done") => Self::handle_unit_done(core, conn, &frame),
-            Some("unit_cancelled") => {
-                let Some((job, target, lease)) = unit_fields(&frame) else { return };
-                let transfer = checkpoint_transfer_from_json(&frame).ok();
-                Self::apply_unit_cancelled(core, conn, &job, target, lease, transfer);
+            Some(op @ ("wave" | "unit_done" | "unit_cancelled")) => {
+                // Checkpoint transfers are binary frames only; a peer
+                // sending one as JSON runs another build.  Drop it — its
+                // unit is released like any other disconnect.
+                eprintln!("coordinator: JSON `{op}` transfer; dropping `{}`", conn.name);
+                conn.closed = true;
             }
             Some("unit_failed") => {
                 let Some((job, target, lease)) = unit_fields(&frame) else { return };
@@ -312,7 +308,7 @@ impl Coordinator {
 
     /// Handle one binary worker frame — a `wave` / `unit_done` /
     /// `unit_cancelled` checkpoint transfer whose routing fields ride in
-    /// the frame's meta section.  Control frames stay JSON in both
+    /// the frame's meta section.  Control frames are JSON in both
     /// directions, so any other binary frame is a protocol violation.
     fn handle_binary_frame(core: &Arc<ServiceCore>, conn: &mut WorkerConn, bytes: &[u8]) {
         let decoded = match checkpoint_transfer_from_binary(bytes) {
@@ -346,7 +342,7 @@ impl Coordinator {
                 Self::apply_unit_done(core, conn, &job, target, lease, decoded.transfer, events);
             }
             Some("unit_cancelled") => {
-                Self::apply_unit_cancelled(core, conn, &job, target, lease, Some(decoded.transfer));
+                Self::apply_unit_cancelled(core, conn, &job, target, lease, decoded.transfer);
             }
             op => {
                 eprintln!(
@@ -359,30 +355,8 @@ impl Coordinator {
     }
 
     /// Replicate one wave sub-checkpoint (the heart of the failover and
-    /// stealing story).
-    fn handle_wave(core: &Arc<ServiceCore>, conn: &mut WorkerConn, frame: &Json) {
-        let Some((job, target, lease)) = unit_fields(frame) else {
-            conn.closed = true;
-            return;
-        };
-        let transfer = match checkpoint_transfer_from_json(frame) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("coordinator: undecodable checkpoint transfer ({e})");
-                conn.closed = true;
-                return;
-            }
-        };
-        let events = frame
-            .get("events")
-            .and_then(Json::as_array)
-            .map(<[Json]>::to_vec)
-            .unwrap_or_default();
-        Self::apply_wave(core, conn, &job, target, lease, transfer, events);
-    }
-
-    /// Format-independent core of wave replication: validate the digest,
-    /// spool the snapshot, publish events, answer the (always-JSON) ack.
+    /// stealing story): validate the digest, spool the snapshot, publish
+    /// events, answer the (JSON) ack.
     fn apply_wave(
         core: &Arc<ServiceCore>,
         conn: &mut WorkerConn,
@@ -432,28 +406,6 @@ impl Coordinator {
     /// A worker finished its unit: store the final sub-checkpoint (the
     /// unit's result — the core reconstructs the job report from it once
     /// every unit is done).
-    fn handle_unit_done(core: &Arc<ServiceCore>, conn: &mut WorkerConn, frame: &Json) {
-        let Some((job, target, lease)) = unit_fields(frame) else {
-            conn.closed = true;
-            return;
-        };
-        let transfer = match checkpoint_transfer_from_json(frame) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("coordinator: undecodable final checkpoint ({e})");
-                conn.closed = true;
-                return;
-            }
-        };
-        let events = frame
-            .get("events")
-            .and_then(Json::as_array)
-            .map(<[Json]>::to_vec)
-            .unwrap_or_default();
-        Self::apply_unit_done(core, conn, &job, target, lease, transfer, events);
-    }
-
-    /// Format-independent core of unit completion.
     fn apply_unit_done(
         core: &Arc<ServiceCore>,
         conn: &mut WorkerConn,
@@ -484,19 +436,17 @@ impl Coordinator {
         }
     }
 
-    /// Format-independent core of cooperative cancellation: the worker's
-    /// stopping point rides along as a normal checkpoint transfer; keep it
-    /// only if it validates.
+    /// Cooperative cancellation: the worker's stopping point rides along
+    /// as a normal checkpoint transfer; keep it only if it validates.
     fn apply_unit_cancelled(
         core: &Arc<ServiceCore>,
         conn: &mut WorkerConn,
         job: &str,
         target: u8,
         lease: u64,
-        transfer: Option<CheckpointTransfer>,
+        transfer: CheckpointTransfer,
     ) {
-        let checkpoint =
-            transfer.filter(|t| t.validates() && t.job == job).map(|t| t.checkpoint);
+        let checkpoint = (transfer.validates() && transfer.job == job).then_some(transfer.checkpoint);
         core.cancel_unit(job, target, lease, checkpoint);
         if conn.unit.as_ref().is_some_and(|(j, t, _)| j == job && *t == target) {
             conn.unit = None;
@@ -547,11 +497,7 @@ impl Coordinator {
                 }
             );
             let conn = &mut self.conns[i];
-            if conn.binary {
-                framing::queue_binary(&mut conn.outbuf, &binary_grant_frame(&grant));
-            } else {
-                conn.queue_line(&grant_frame(&grant));
-            }
+            framing::queue_binary(&mut conn.outbuf, &grant_frame(&grant));
             conn.unit = Some((grant.job, grant.target, grant.lease));
             conn.wants_work = false;
             conn.cancel_sent = false;
@@ -636,24 +582,9 @@ fn unit_fields(frame: &Json) -> Option<(String, u8, u64)> {
     Some((job, target, lease))
 }
 
-/// The JSON wire form of a lease grant.
-fn grant_frame(grant: &UnitGrant) -> Json {
-    Json::obj()
-        .field("op", "grant")
-        .field("job", grant.job.as_str())
-        .field("target", grant.target)
-        .field("lease", grant.lease)
-        .field("spec", grant.spec.to_json())
-        .field(
-            "checkpoint",
-            grant.checkpoint.as_ref().map(rvz_bench::report::matrix_checkpoint_to_json),
-        )
-}
-
-/// The binary wire form of a lease grant (for workers that advertised
-/// binary support): routing fields as a meta section, the resume
-/// checkpoint — the bulky part — as a typed section.
-fn binary_grant_frame(grant: &UnitGrant) -> Vec<u8> {
+/// The binary wire form of a lease grant: routing fields as a meta
+/// section, the resume checkpoint — the bulky part — as a typed section.
+fn grant_frame(grant: &UnitGrant) -> Vec<u8> {
     let meta = Json::obj()
         .field("op", "grant")
         .field("job", grant.job.as_str())

@@ -1,21 +1,23 @@
-//! The service core: job table, sharded workers and event fan-out.
+//! The service core: job table, unit queue and event fan-out.
 //!
 //! The core is transport-agnostic — the TCP front-end ([`crate::server`])
 //! and the in-process [`ServiceHandle`](crate::ServiceHandle) both drive
-//! this API.  Jobs drain through `shards` long-lived worker threads, all
-//! pulling from one global queue (highest priority first, FIFO within a
-//! priority — never inverted by placement); each worker
-//! drives its job as an incremental
-//! [`MatrixRun`](revizor::orchestrator::MatrixRun), persisting a
-//! checkpoint to the spool between waves and publishing progress events to
-//! the job's event log.  Subscribers (watchers) replay that log from any
-//! cursor, so late subscribers see the full history and event delivery can
-//! never perturb verdicts.
+//! this API.  Every job splits into relocatable work units, one per
+//! target group of its matrix, queued on **one** global unit queue
+//! (highest priority first, FIFO within a priority — never inverted by
+//! placement).  Unit drivers lease units through one lease API —
+//! in-process shard threads and remote fleet workers (through
+//! [`crate::coordinator`]) alike — step each one
+//! as an incremental [`MatrixRun`](revizor::orchestrator::MatrixRun),
+//! replicate a sub-checkpoint to the spool after every wave and publish
+//! progress events to the job's event log.  Subscribers (watchers) replay
+//! that log from any cursor, so late subscribers see the full history and
+//! event delivery can never perturb verdicts.
 
 use crate::job::JobSpec;
 use crate::spool::{JobPhase, Spool, SpoolRecord, UnitPhase, UnitRecord};
 use revizor::campaign::{CellEvent, ProgressObserver, RoundEvent};
-use revizor::orchestrator::{MatrixCheckpoint, MatrixReport};
+use revizor::orchestrator::{CampaignMatrix, MatrixCheckpoint, MatrixReport, MatrixRun};
 use rvz_bench::json::Json;
 use rvz_bench::report::{matrix_cells_json, matrix_timing_json};
 use std::collections::BTreeMap;
@@ -28,9 +30,11 @@ use std::time::Duration;
 /// Configuration of a service instance.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Number of shard worker threads.  All of them drain **one** shared
+    /// Number of in-process shard threads.  Each is a unit driver on the
+    /// fleet's lease API: all of them lease from **one** shared unit
     /// queue — highest priority first, FIFO within a priority — each
-    /// running one job at a time.
+    /// driving one work unit (one target group of a job) at a time.
+    /// Ignored in fleet mode ([`ServiceConfig::worker_listen`]).
     pub shards: usize,
     /// Spool directory for durable job state; `None` keeps everything in
     /// memory (jobs are lost when the process exits).
@@ -40,11 +44,6 @@ pub struct ServiceConfig {
     /// accretes one record per finished job forever (see
     /// [`crate::spool::Spool::with_retain`]).
     pub spool_retain: Option<usize>,
-    /// Waves between spool checkpoints (1 = checkpoint after every wave).
-    /// In-process mode only: multi-host replication always persists every
-    /// ack'd wave — the "spool replica is at most one wave behind" failover
-    /// guarantee is built on it.
-    pub checkpoint_every: usize,
     /// TCP listen address for the JSON-lines front-end (e.g.
     /// `"127.0.0.1:0"` for an ephemeral port); `None` runs in-process only.
     pub listen: Option<String>,
@@ -95,7 +94,6 @@ impl Default for ServiceConfig {
             shards: 2,
             spool: None,
             spool_retain: None,
-            checkpoint_every: 1,
             listen: None,
             worker_listen: None,
             worker_timeout: Duration::from_secs(120),
@@ -108,19 +106,36 @@ impl Default for ServiceConfig {
 }
 
 /// One relocatable work unit: one target group of its job's matrix,
-/// independently leasable, steppable and stealable (fleet mode).
+/// independently leasable, steppable and stealable.
 struct UnitState {
     /// The Table 2 target id whose cell group this unit drives.
     target: u8,
     phase: UnitPhase,
-    /// The worker host currently holding the lease.
+    /// The unit driver currently holding the lease (a fleet worker host's
+    /// registered name, or `shard-N` for an in-process shard).
     worker: Option<String>,
     /// Current lease token.  Minted fresh on every lease; every unit frame
     /// must quote it, so a stolen/released lease fences the old owner's
     /// in-flight frames (`0` = never leased).
     lease: u64,
-    /// Last replicated sub-run checkpoint (the final one once `Done`).
+    /// Last replicated sub-run checkpoint (the final one once `Done`);
+    /// dropped once the job is terminal — the result then holds it all.
     checkpoint: Option<MatrixCheckpoint>,
+    /// The wave of the last replicated checkpoint, kept for `status`
+    /// after the checkpoint itself is dropped.
+    wave: usize,
+}
+
+impl UnitState {
+    fn new(target: u8, phase: UnitPhase, checkpoint: Option<MatrixCheckpoint>) -> UnitState {
+        let wave = checkpoint.as_ref().map_or(0, |cp| cp.wave);
+        UnitState { target, phase, worker: None, lease: 0, checkpoint, wave }
+    }
+
+    fn set_checkpoint(&mut self, checkpoint: MatrixCheckpoint) {
+        self.wave = checkpoint.wave;
+        self.checkpoint = Some(checkpoint);
+    }
 }
 
 /// One job's in-memory state.
@@ -131,17 +146,16 @@ struct JobEntry {
     /// Append-only event log; watchers replay it by cursor.
     events: Vec<Json>,
     checkpoint: Option<MatrixCheckpoint>,
-    /// The job's work units, one per target group (fleet mode; lazily
-    /// materialized at the first lease).  `None` on the shard path, where
-    /// the whole job is one unit of work.
+    /// The job's work units, one per target group, lazily materialized
+    /// at the first lease (`None` while the job has never been leased).
     units: Option<Vec<UnitState>>,
     result: Option<Json>,
     /// A client asked for cancellation while the job was running; the
-    /// driver (shard worker or remote worker host) honors it at the next
-    /// wave boundary.
+    /// unit drivers (shard threads or remote worker hosts) honor it at
+    /// the next wave boundary.
     cancel_requested: bool,
-    /// The worker host that most recently leased part of the job
-    /// (fleet mode only; per-unit placement lives in `units`).
+    /// The unit driver that most recently leased part of the job
+    /// (per-unit placement lives in `units`).
     worker: Option<String>,
     /// Bumped (under the core lock) every time a durable record of this
     /// job is built; persists are ordered by it so a stale record built
@@ -152,24 +166,19 @@ struct JobEntry {
 /// Everything behind the core's one lock.
 struct CoreState {
     jobs: BTreeMap<String, JobEntry>,
-    /// Submission order (the claim scan walks it; FIFO tie-break).
+    /// Submission order (the lease scan walks it; FIFO tie-break).
     order: Vec<String>,
-    /// Jobs currently in [`JobPhase::Queued`] — maintained at every phase
-    /// transition so the idle paths (the coordinator polls for work every
-    /// 2ms, shard workers every 100ms) can skip the O(all jobs ever)
-    /// claim scan when nothing is queued.
-    queued: usize,
 }
 
-
-/// Per-unit placement of a fleet job, for `status` responses.
+/// Per-unit placement of a job, for `status` responses.
 #[derive(Debug, Clone)]
 pub struct UnitStatus {
     /// The Table 2 target id whose cell group this unit drives.
     pub target: u8,
     /// Unit lifecycle phase.
     pub phase: UnitPhase,
-    /// The worker host currently holding the lease, if any.
+    /// The unit driver currently holding the lease, if any (a worker
+    /// host's name, or `shard-N` in-process).
     pub worker: Option<String>,
     /// Last replicated sub-run wave (0 before the first checkpoint).
     pub wave: usize,
@@ -188,8 +197,9 @@ pub struct JobStatus {
     pub shard: usize,
     /// Scheduling priority (higher drains first).
     pub priority: i64,
-    /// The worker host that most recently leased part of the job
-    /// (fleet mode only; see `units` for per-unit placement).
+    /// The unit driver that most recently leased part of the job (a
+    /// worker host's name, or `shard-N` in-process; see `units` for
+    /// per-unit placement).
     pub worker: Option<String>,
     /// Number of matrix cells.
     pub cells: usize,
@@ -199,7 +209,7 @@ pub struct JobStatus {
     /// Events published so far.
     pub events: usize,
     /// Per-unit placement, once the job's work units have materialized
-    /// (fleet mode); empty on the shard path.
+    /// (at its first lease); empty before that.
     pub units: Vec<UnitStatus>,
     /// Owning tenant (token-auth mode; see [`crate::job::JobSpec::tenant`]).
     /// `None` for tenantless jobs, which every client may see.
@@ -347,7 +357,7 @@ impl ServiceCore {
             Some(path) => Some(load_tokens(path)?),
             None => None,
         };
-        let mut state = CoreState { jobs: BTreeMap::new(), order: Vec::new(), queued: 0 };
+        let mut state = CoreState { jobs: BTreeMap::new(), order: Vec::new() };
         let mut next_counter = 1u64;
         if let Some(spool) = &spool {
             let mut records = spool.load_all();
@@ -356,7 +366,7 @@ impl ServiceCore {
             // the unpadded hex counter itself misorders across widths).
             // Re-sort by the counter — it increases per submission — so
             // the restored `order` preserves the FIFO-within-priority
-            // claim guarantee and the event `seq` re-stamp below really is
+            // lease guarantee and the event `seq` re-stamp below really is
             // submission order.  Ids without a parseable counter sort
             // first, by name.
             records.sort_by_key(|r| (id_counter(&r.job), r.job.clone()));
@@ -369,9 +379,6 @@ impl ServiceCore {
                     next_counter = next_counter.max(n + 1);
                 }
                 let events = restored_events(&record);
-                if record.phase == JobPhase::Queued {
-                    state.queued += 1;
-                }
                 // Restored units come back leaseless (their owners died
                 // with the server; the spool already demoted Leased to
                 // Queued) with the lease counter reset — tokens only fence
@@ -379,13 +386,7 @@ impl ServiceCore {
                 let units = record.units.map(|units| {
                     units
                         .into_iter()
-                        .map(|u| UnitState {
-                            target: u.target,
-                            phase: u.phase,
-                            worker: None,
-                            lease: 0,
-                            checkpoint: u.checkpoint,
-                        })
+                        .map(|u| UnitState::new(u.target, u.phase, u.checkpoint))
                         .collect()
                 });
                 state.order.push(record.job.clone());
@@ -442,7 +443,7 @@ impl ServiceCore {
                 .collect()
         };
         for job in pending_cancels {
-            core.finish_cancelled(&job, None);
+            core.finish_cancelled(&job);
         }
         // A job restored with every unit already Done died between its
         // last unit finishing and the result persisting; nothing will ever
@@ -522,11 +523,9 @@ impl ServiceCore {
                     // Materialized: exactly the units still waiting.
                     Some(units) =>
                         units.iter().filter(|u| u.phase == UnitPhase::Queued).count(),
-                    // Not yet materialized: a queued job will split into
-                    // one unit per target group; a running one (shard
-                    // path) is being worked, so it exerts no pressure.
-                    None if e.phase == JobPhase::Queued => e.spec.group_targets().len(),
-                    None => 0,
+                    // Never leased: the job will split into one unit per
+                    // target group.
+                    None => e.spec.group_targets().len(),
                 })
                 .sum::<usize>()
         };
@@ -575,7 +574,6 @@ impl ServiceCore {
         let mut state = self.state.lock().expect("core lock");
         state.order.push(job.clone());
         state.jobs.insert(job.clone(), entry);
-        state.queued += 1;
         self.changed.notify_all();
         job
     }
@@ -584,14 +582,6 @@ impl ServiceCore {
     pub fn status(&self, job: &str) -> Option<JobStatus> {
         let state = self.state.lock().expect("core lock");
         state.jobs.get(job).map(|e| summarize(job, e))
-    }
-
-    /// Just a job's lifecycle phase — one lock, no event-log scan (the
-    /// drive loop polls this every wave; [`ServiceCore::status`] counts
-    /// cell events and would make that O(log length) per wave).
-    pub fn job_phase(&self, job: &str) -> Option<JobPhase> {
-        let state = self.state.lock().expect("core lock");
-        state.jobs.get(job).map(|e| e.phase)
     }
 
     /// Summaries of all jobs, in submission order.
@@ -701,73 +691,14 @@ impl ServiceCore {
         }
     }
 
-    /// Pick the next queued job, marking it running: the highest-priority
-    /// queued job (FIFO within a priority), from the **one global queue**
-    /// — every idle drainer (in-process shard worker or, via the
-    /// coordinator, a remote worker host) takes the globally best job, so
-    /// the priority guarantee is never inverted by placement.  `worker`
-    /// names the remote worker host taking the job, when there is one.
-    pub(crate) fn claim(
-        &self,
-        worker: Option<&str>,
-    ) -> Option<(String, JobSpec, Option<MatrixCheckpoint>)> {
-        let (claimed, record, cancelled) = {
-            let mut state = self.state.lock().expect("core lock");
-            if state.queued == 0 {
-                // Fast path for the idle pollers: no scan of the full job
-                // history when nothing is queued.
-                return None;
-            }
-            // A queued job can carry a pending cancel (its cancel raced a
-            // requeue): it must never be dispatched again — collect it for
-            // terminal cancellation instead of claiming it.
-            let mut cancelled: Vec<String> = Vec::new();
-            // `order` is submission order; keeping only *strictly* higher
-            // priorities picks the earliest submission within the winning
-            // priority (FIFO tie-break).
-            let mut best: Option<(&String, i64)> = None;
-            for job in &state.order {
-                let Some(e) = state.jobs.get(job) else { continue };
-                if e.phase != JobPhase::Queued {
-                    continue;
-                }
-                if e.cancel_requested {
-                    cancelled.push(job.clone());
-                    continue;
-                }
-                if best.is_none_or(|(_, p)| e.spec.priority > p) {
-                    best = Some((job, e.spec.priority));
-                }
-            }
-            match best {
-                None => (None, None, cancelled),
-                Some((job, _)) => {
-                    let job = job.clone();
-                    state.queued -= 1; // the scan saw it Queued
-                    let entry = state.jobs.get_mut(&job).expect("found above");
-                    entry.phase = JobPhase::Running;
-                    entry.worker = worker.map(str::to_string);
-                    let claimed = (job.clone(), entry.spec.clone(), entry.checkpoint.clone());
-                    let record = Self::record_of(&job, entry);
-                    (Some(claimed), Some(record), cancelled)
-                }
-            }
-        };
-        for job in cancelled {
-            self.finish_cancelled(&job, None);
-        }
-        let (record, version) = record?;
-        self.persist(&record, version);
-        claimed
-    }
-
-    /// Hand a running job back to the queue (its driver is gone — e.g. a
-    /// worker host died).  The job keeps its last replicated checkpoint, so
-    /// the next claim resumes it from there with byte-identical verdicts.
-    /// A job with a pending cancellation is cancelled terminally instead
-    /// of requeued — its driver died before honoring the cancel, and
-    /// re-dispatching it would run waves the client already cancelled.
-    pub(crate) fn requeue_interrupted(&self, job: &str) {
+    /// Hand a running job back to the queue once none of its units is
+    /// leased any more (their drivers released them — a worker host died,
+    /// the server is stopping).  Each unit keeps its last replicated
+    /// sub-checkpoint, so the next lease resumes it from there with
+    /// byte-identical verdicts.  A job with a pending cancellation is
+    /// cancelled terminally instead of requeued — re-dispatching it would
+    /// run waves the client already cancelled.
+    fn requeue_interrupted(&self, job: &str) {
         let record = {
             let mut state = self.state.lock().expect("core lock");
             let Some(entry) = state.jobs.get_mut(job) else { return };
@@ -776,14 +707,12 @@ impl ServiceCore {
             }
             if entry.cancel_requested {
                 drop(state);
-                self.finish_cancelled(job, None);
+                self.finish_cancelled(job);
                 return;
             }
             entry.phase = JobPhase::Queued;
             entry.worker = None;
-            let record = Self::record_of(job, entry);
-            state.queued += 1; // back from Running
-            record
+            Self::record_of(job, entry)
         };
         let (record, version) = record;
         self.persist(&record, version);
@@ -791,16 +720,21 @@ impl ServiceCore {
         self.changed.notify_all();
     }
 
-    /// Lease the best queued work unit to `worker` (fleet mode): the
-    /// highest-priority job with a queued unit (FIFO within a priority —
-    /// the same global-queue guarantee as [`ServiceCore::claim`], at unit
-    /// granularity), whose units are lazily split out of its whole-matrix
-    /// checkpoint on first lease.  Mints a fresh lease token; every frame
-    /// the worker sends for the unit must quote it.
+    /// Lease the best queued work unit to the unit driver `worker` (a
+    /// fleet worker host or an in-process shard): a queued unit of the
+    /// highest-priority job that has one, FIFO within a priority — every
+    /// idle driver takes the globally best unit from the **one** queue, so
+    /// the priority guarantee is never inverted by placement.  A job's
+    /// units are lazily split out of its whole-matrix checkpoint on first
+    /// lease.  Mints a fresh lease token; every frame the driver sends for
+    /// the unit must quote it.
     pub(crate) fn lease_unit(&self, worker: &str) -> Option<UnitGrant> {
         let (grant, record, cancelled, empty_job) = {
             let mut state = self.state.lock().expect("core lock");
             let mut cancelled: Vec<String> = Vec::new();
+            // `order` is submission order; keeping only *strictly* higher
+            // priorities picks the earliest submission within the winning
+            // priority (FIFO tie-break).
             let mut best: Option<(&String, i64)> = None;
             for job in &state.order {
                 let Some(e) = state.jobs.get(job) else { continue };
@@ -808,10 +742,10 @@ impl ServiceCore {
                     continue;
                 }
                 if e.cancel_requested {
-                    // A cancelled job must never lease out more units; a
-                    // still-queued one is terminally cancelled right here
-                    // (see `claim`).
-                    if e.phase == JobPhase::Queued {
+                    // A cancelled job must never lease out more units; one
+                    // no driver holds a unit of (the cancel raced a
+                    // requeue) is terminally cancelled right here.
+                    if !has_leased_unit(e) {
                         cancelled.push(job.clone());
                     }
                     continue;
@@ -828,60 +762,41 @@ impl ServiceCore {
                 None => (None, None, cancelled, None),
                 Some((job, _)) => {
                     let job = job.clone();
-                    let lease = self.lease_counter.fetch_add(1, Ordering::SeqCst);
-                    let was_queued;
-                    let (grant, empty) = {
-                        let entry = state.jobs.get_mut(&job).expect("found above");
-                        if entry.units.is_none() {
-                            entry.units = Some(materialize_units(
-                                &job,
-                                &entry.spec,
-                                entry.checkpoint.as_ref(),
-                            ));
-                        }
-                        was_queued = entry.phase == JobPhase::Queued;
-                        let spec = entry.spec.clone();
-                        let units = entry.units.as_mut().expect("materialized above");
-                        match units.iter_mut().find(|u| u.phase == UnitPhase::Queued) {
-                            None => {
-                                // A cell-less spec splits into zero units:
-                                // nothing to lease, but the job must still
-                                // complete (vacuously, below).
-                                (None, units.is_empty())
-                            }
-                            Some(unit) => {
-                                unit.phase = UnitPhase::Leased;
-                                unit.worker = Some(worker.to_string());
-                                unit.lease = lease;
-                                let grant = UnitGrant {
-                                    job: job.clone(),
-                                    target: unit.target,
-                                    lease,
-                                    spec,
-                                    checkpoint: unit.checkpoint.clone(),
-                                };
-                                entry.phase = JobPhase::Running;
-                                entry.worker = Some(worker.to_string());
-                                (Some(grant), false)
-                            }
-                        }
-                    };
-                    if was_queued && (grant.is_some() || empty) {
-                        // Leased (or about to vacuously complete): either
-                        // way the job left the queue.
-                        state.queued -= 1;
-                        let entry = state.jobs.get_mut(&job).expect("found above");
-                        entry.phase = JobPhase::Running;
-                    }
                     let entry = state.jobs.get_mut(&job).expect("found above");
+                    let units = entry.units.get_or_insert_with(|| {
+                        materialize_units(&job, &entry.spec, entry.checkpoint.as_ref())
+                    });
+                    // A cell-less spec splits into zero units: nothing to
+                    // lease, but the job must still complete (vacuously,
+                    // below).
+                    let empty = units.is_empty();
+                    let grant =
+                        units.iter_mut().find(|u| u.phase == UnitPhase::Queued).map(|unit| {
+                            let lease = self.lease_counter.fetch_add(1, Ordering::SeqCst);
+                            unit.phase = UnitPhase::Leased;
+                            unit.worker = Some(worker.to_string());
+                            unit.lease = lease;
+                            UnitGrant {
+                                job: job.clone(),
+                                target: unit.target,
+                                lease,
+                                spec: entry.spec.clone(),
+                                checkpoint: unit.checkpoint.clone(),
+                            }
+                        });
+                    // Leased (or about to vacuously complete): either way
+                    // the job left the queue.
+                    entry.phase = JobPhase::Running;
+                    if grant.is_some() {
+                        entry.worker = Some(worker.to_string());
+                    }
                     let record = Self::record_of(&job, entry);
-                    let empty_job = if empty { Some(job) } else { None };
-                    (grant, Some(record), cancelled, empty_job)
+                    (grant, Some(record), cancelled, empty.then_some(job))
                 }
             }
         };
         for job in cancelled {
-            self.finish_cancelled(&job, None);
+            self.finish_cancelled(&job);
         }
         if let Some(job) = empty_job {
             self.finalize_units(&job);
@@ -924,7 +839,7 @@ impl ServiceCore {
             if unit.checkpoint.as_ref().is_some_and(|old| checkpoint.wave <= old.wave) {
                 return UnitDisposition::Ignored;
             }
-            unit.checkpoint = Some(checkpoint);
+            unit.set_checkpoint(checkpoint);
             refresh_merged_checkpoint(job, entry);
             Self::record_of(job, entry)
         };
@@ -966,7 +881,7 @@ impl ServiceCore {
             }
             unit.phase = UnitPhase::Done;
             unit.worker = None;
-            unit.checkpoint = Some(checkpoint);
+            unit.set_checkpoint(checkpoint);
             let all_done = units.iter().all(|u| u.phase == UnitPhase::Done);
             refresh_merged_checkpoint(job, entry);
             (Self::record_of(job, entry), all_done)
@@ -1081,7 +996,7 @@ impl ServiceCore {
         unit.phase = UnitPhase::Queued;
         unit.worker = None;
         if let Some(checkpoint) = checkpoint {
-            unit.checkpoint = Some(checkpoint);
+            unit.set_checkpoint(checkpoint);
         }
         let none_leased = units.iter().all(|u| u.phase != UnitPhase::Leased);
         refresh_merged_checkpoint(job, entry);
@@ -1168,33 +1083,33 @@ impl ServiceCore {
         }
     }
 
-    /// Ask for a job's cancellation.  Queued jobs cancel immediately;
-    /// running jobs cancel cooperatively at their next wave boundary (the
-    /// returned phase is still `Running` until then).  Terminal jobs are
-    /// rejected.
+    /// Ask for a job's cancellation.  Jobs no driver holds a unit of
+    /// (queued, or between units) cancel immediately; running jobs cancel
+    /// cooperatively at their units' next wave boundary (the returned
+    /// phase is still `Running` until then).  Terminal jobs are rejected.
     ///
     /// # Errors
     /// Returns a message for unknown or already-finished jobs.
     pub fn cancel(&self, job: &str) -> Result<JobPhase, String> {
-        // `Some(record)` = running (cooperative cancel; persist the flag),
-        // `None` = still queued (cancel immediately).
+        // `Some(record)` = being driven (cooperative cancel; persist the
+        // flag), `None` = no unit leased (cancel immediately).
         let cooperative: Option<(SpoolRecord, u64)> = {
             let mut state = self.state.lock().expect("core lock");
             let entry = state.jobs.get_mut(job).ok_or_else(|| format!("unknown job `{job}`"))?;
             match entry.phase {
                 JobPhase::Done => return Err(format!("job `{job}` already finished")),
                 JobPhase::Cancelled => return Ok(JobPhase::Cancelled),
-                JobPhase::Queued => {
-                    // Flag it under the SAME lock as the phase observation:
-                    // if a claim slips in between this lock and the
+                JobPhase::Queued | JobPhase::Running if !has_leased_unit(entry) => {
+                    // Flag it under the SAME lock as the lease observation:
+                    // if a lease slips in between this lock and the
                     // `finish_cancelled` below, it sees the flag and
-                    // cancels instead of dispatching — without it, a
-                    // queued job racing a claim would run to completion
-                    // behind its own cancelled `done` event.
+                    // cancels instead of dispatching — without it, the job
+                    // racing a lease would run to completion behind its
+                    // own cancelled `done` event.
                     entry.cancel_requested = true;
                     None
                 }
-                JobPhase::Running => {
+                JobPhase::Queued | JobPhase::Running => {
                     entry.cancel_requested = true;
                     // Persisted so the cancellation survives a server kill
                     // before the next wave boundary.
@@ -1204,7 +1119,7 @@ impl ServiceCore {
         };
         match cooperative {
             None => {
-                self.finish_cancelled(job, None);
+                self.finish_cancelled(job);
                 Ok(JobPhase::Cancelled)
             }
             Some((record, version)) => {
@@ -1222,11 +1137,11 @@ impl ServiceCore {
         state.jobs.get(job).is_some_and(|e| e.cancel_requested && !e.phase.terminal())
     }
 
-    /// Terminally cancel a job: record the (optional) final checkpoint as
-    /// the stopping point, store the `cancelled` result payload and publish
-    /// the terminating `done` event.  Called by whichever driver honors the
-    /// cooperative cancel — or directly for still-queued jobs.
-    pub(crate) fn finish_cancelled(&self, job: &str, checkpoint: Option<MatrixCheckpoint>) {
+    /// Terminally cancel a job: store the `cancelled` result payload and
+    /// publish the terminating `done` event.  The merged checkpoint stays
+    /// as the stopping point.  Reached once the last unit driver honored
+    /// the cooperative cancel — or directly for jobs no driver holds.
+    pub(crate) fn finish_cancelled(&self, job: &str) {
         let result = Json::obj().field("job", job).field("cancelled", true);
         let done = Json::obj()
             .field("event", "done")
@@ -1239,21 +1154,14 @@ impl ServiceCore {
             if entry.phase.terminal() {
                 return;
             }
-            let was_queued = entry.phase == JobPhase::Queued;
             entry.phase = JobPhase::Cancelled;
             entry.cancel_requested = false;
             entry.worker = None;
             entry.result = Some(result);
-            if let Some(checkpoint) = checkpoint {
-                entry.checkpoint = Some(checkpoint);
-            }
+            drop_unit_checkpoints(entry);
             let done = self.stamp(done);
             entry.events.push(done);
-            let record = Self::record_of(job, entry);
-            if was_queued {
-                state.queued -= 1;
-            }
-            record
+            Self::record_of(job, entry)
         };
         let (record, version) = record;
         self.persist(&record, version);
@@ -1287,33 +1195,7 @@ impl ServiceCore {
         self.changed.notify_all();
     }
 
-    /// Store a wave checkpoint (and persist it, outside the lock).
-    pub(crate) fn save_checkpoint(&self, job: &str, checkpoint: MatrixCheckpoint, phase: JobPhase) {
-        let record = {
-            let mut state = self.state.lock().expect("core lock");
-            let Some(entry) = state.jobs.get_mut(job) else { return };
-            if entry.phase.terminal() {
-                // A straggling driver must never resurrect a finished or
-                // cancelled job to Running.
-                return;
-            }
-            let was_queued = entry.phase == JobPhase::Queued;
-            entry.checkpoint = Some(checkpoint);
-            entry.phase = phase;
-            let record = Self::record_of(job, entry);
-            match (was_queued, phase == JobPhase::Queued) {
-                (false, true) => state.queued += 1,
-                (true, false) => state.queued -= 1,
-                _ => {}
-            }
-            record
-        };
-        let (record, version) = record;
-        self.persist(&record, version);
-        self.changed.notify_all();
-    }
-
-    /// Finish a job: store the result, drop the checkpoint, publish the
+    /// Finish a job: store the result, drop the checkpoints, publish the
     /// `done` event.
     pub(crate) fn complete(&self, job: &str, result: Json) {
         let done = Json::obj()
@@ -1327,99 +1209,80 @@ impl ServiceCore {
                 // A result racing a cancellation: first terminal state wins.
                 return;
             }
-            let was_queued = entry.phase == JobPhase::Queued;
             entry.phase = JobPhase::Done;
             entry.result = Some(result);
             entry.checkpoint = None;
             entry.worker = None;
+            drop_unit_checkpoints(entry);
             let done = self.stamp(done);
             entry.events.push(done);
-            let record = Self::record_of(job, entry);
-            if was_queued {
-                state.queued -= 1;
-            }
-            record
+            Self::record_of(job, entry)
         };
         let (record, version) = record;
         self.persist(&record, version);
         self.changed.notify_all();
     }
 
-    /// The body of one shard worker thread: claim → drive → complete, until
-    /// the core stops.
-    pub fn run_worker(self: &Arc<Self>, _shard: usize) {
+    /// The body of one in-process shard thread: a unit driver on the same
+    /// lease API the fleet's worker hosts use — lease a unit, drive it,
+    /// repeat — until the core stops.
+    pub(crate) fn run_shard(&self, shard: usize) {
+        let name = format!("shard-{shard}");
         while !self.stopped() {
-            let Some((job, spec, checkpoint)) = self.claim(None) else {
-                // Idle: wait for a submission (or stop).
-                let state = self.state.lock().expect("core lock");
-                let _ = self
-                    .changed
-                    .wait_timeout(state, Duration::from_millis(100))
-                    .expect("core lock");
-                continue;
-            };
-            self.drive(&job, &spec, checkpoint);
+            match self.lease_unit(&name) {
+                Some(grant) => self.drive_unit(grant),
+                None => {
+                    // Idle: wait for a submission or a released unit (or
+                    // stop).
+                    let state = self.state.lock().expect("core lock");
+                    let _ = self
+                        .changed
+                        .wait_timeout(state, Duration::from_millis(100))
+                        .expect("core lock");
+                }
+            }
         }
     }
 
-    /// Drive one job to completion (or to the stop flag).
-    fn drive(&self, job: &str, spec: &JobSpec, checkpoint: Option<MatrixCheckpoint>) {
-        let matrix = match spec.to_matrix() {
-            Ok(m) => m,
+    /// Drive one leased unit in-process: step its single-group sub-run,
+    /// replicating a checkpoint after every wave, until the unit finishes
+    /// (`complete_unit`), its job is cancelled (`cancel_unit`), the core
+    /// stops (`release_unit` — the unit resumes from its last wave on the
+    /// next server) or the lease is revoked (the job went terminal).
+    fn drive_unit(&self, grant: UnitGrant) {
+        let UnitGrant { job, target, lease, spec, checkpoint } = grant;
+        let sub = match spec.unit_matrix(target) {
+            Ok(sub) => sub,
             Err(e) => {
                 // Validated at submit; only a hand-edited spool reaches here.
-                self.complete(job, Json::obj().field("job", job).field("error", e.as_str()));
+                self.fail_unit(&job, target, lease, &e);
                 return;
             }
         };
-        let mut run = match &checkpoint {
-            Some(cp) => match matrix.resume(cp) {
-                Ok(run) => run,
-                Err(e) => {
-                    eprintln!("job {job}: discarding stale checkpoint ({e}); restarting");
-                    matrix.start()
-                }
-            },
-            None => matrix.start(),
-        };
-        let mut collector = EventCollector { job: job.to_string(), events: Vec::new() };
-        let mut waves_since_checkpoint = 0usize;
+        let mut run = start_unit(&sub, &job, target, checkpoint.as_ref());
+        let mut collector = EventCollector { job: job.clone(), events: Vec::new() };
         loop {
             if self.stopped() {
-                // Killed mid-job: park the progress and hand the job back
-                // to the queue; the next server (or restart) resumes it.
-                self.publish(job, std::mem::take(&mut collector.events));
-                self.save_checkpoint(job, run.checkpoint(), JobPhase::Queued);
+                self.release_unit(&job, target, lease);
                 return;
             }
-            if self.cancel_requested(job) {
-                // Cooperative cancellation: stop at the wave boundary and
-                // record where the job stopped.
-                self.publish(job, std::mem::take(&mut collector.events));
-                self.finish_cancelled(job, Some(run.checkpoint()));
+            if self.cancel_requested(&job) {
+                self.cancel_unit(&job, target, lease, Some(run.checkpoint()));
                 return;
             }
-            if self.job_phase(job).is_none_or(JobPhase::terminal) {
-                // The job went terminal behind our back (a cancel raced
-                // the claim): abandon the run; the terminal state already
-                // published its closing event.
-                return;
-            }
-            let more = run.step(&mut collector);
-            self.publish(job, std::mem::take(&mut collector.events));
-            if !more {
+            if !run.step(&mut collector) {
                 break;
             }
-            waves_since_checkpoint += 1;
-            if waves_since_checkpoint >= self.config.checkpoint_every.max(1) {
-                self.save_checkpoint(job, run.checkpoint(), JobPhase::Running);
-                waves_since_checkpoint = 0;
+            // Events first: a terminal job drops them anyway, and a
+            // watcher sees the wave before its spool write.
+            self.publish(&job, std::mem::take(&mut collector.events));
+            if self.save_unit_checkpoint(&job, target, lease, run.checkpoint())
+                == UnitDisposition::Revoked
+            {
+                return;
             }
         }
-        let report = run.finish(&mut collector);
-        self.publish(job, std::mem::take(&mut collector.events));
-        self.index_result(job, &report);
-        self.complete(job, job_result_json(job, spec, &report));
+        self.complete_unit(&job, target, lease, run.checkpoint(), collector.events);
     }
 
     /// Append a finished job's violation cells to the indexed store (a
@@ -1496,7 +1359,7 @@ fn summarize(job: &str, e: &JobEntry) -> JobStatus {
                         target: u.target,
                         phase: u.phase,
                         worker: u.worker.clone(),
-                        wave: u.checkpoint.as_ref().map_or(0, |cp| cp.wave),
+                        wave: u.wave,
                     })
                     .collect()
             })
@@ -1529,14 +1392,44 @@ fn materialize_units(
     targets
         .into_iter()
         .zip(parts)
-        .map(|(target, checkpoint)| UnitState {
-            target,
-            phase: UnitPhase::Queued,
-            worker: None,
-            lease: 0,
-            checkpoint,
-        })
+        .map(|(target, checkpoint)| UnitState::new(target, UnitPhase::Queued, checkpoint))
         .collect()
+}
+
+/// Does a unit driver currently hold a lease on one of the job's units?
+fn has_leased_unit(entry: &JobEntry) -> bool {
+    entry.units.iter().flatten().any(|u| u.phase == UnitPhase::Leased)
+}
+
+/// A job went terminal: its per-unit checkpoints are dead weight (the
+/// result — or, for a cancelled job, the merged stopping checkpoint —
+/// holds everything that remains), so drop them from memory and from the
+/// terminal spool snapshot.  Each unit keeps its phase and wave for
+/// `status`.
+fn drop_unit_checkpoints(entry: &mut JobEntry) {
+    for unit in entry.units.iter_mut().flatten() {
+        unit.checkpoint = None;
+    }
+}
+
+/// Start a unit's sub-run, resuming from its granted checkpoint when there
+/// is one (shared by the in-process shards and the fleet's worker hosts).
+/// A checkpoint the sub-matrix rejects — only a hand-edited spool yields
+/// one — restarts the unit from scratch, which is still byte-identical.
+pub(crate) fn start_unit<'m>(
+    sub: &'m CampaignMatrix,
+    job: &str,
+    target: u8,
+    checkpoint: Option<&MatrixCheckpoint>,
+) -> MatrixRun<'m> {
+    match checkpoint.map(|cp| sub.resume(cp)) {
+        None => sub.start(),
+        Some(Ok(run)) => run,
+        Some(Err(e)) => {
+            eprintln!("{job} unit t{target}: stale checkpoint ({e}); restarting");
+            sub.start()
+        }
+    }
 }
 
 /// Recompute a job's whole-matrix checkpoint as the merge of its per-unit
@@ -1632,7 +1525,7 @@ pub fn deterministic_result(result: &Json) -> Json {
 }
 
 /// Collects matrix progress events as wire-format JSON lines (shared by
-/// the in-process shard workers and the remote worker loop).
+/// the in-process shards and the remote worker loop).
 pub(crate) struct EventCollector {
     pub(crate) job: String,
     pub(crate) events: Vec<Json>,
@@ -1721,9 +1614,10 @@ mod tests {
     }
 
     /// No shard threads run here (the core is constructed directly), so
-    /// the queue can be claimed by hand and its order observed.
+    /// the queue can be leased by hand and its order observed.  Every job
+    /// here is one target group, so each lease drains one job.
     #[test]
-    fn claim_drains_higher_priority_first_then_fifo() {
+    fn lease_drains_higher_priority_first_then_fifo() {
         let config = ServiceConfig { shards: 1, ..ServiceConfig::default() };
         let core = ServiceCore::new(config).unwrap();
         let spec = |p: i64| JobSpec::new(1).with_priority(p).add_cell(1, "CT-SEQ");
@@ -1731,11 +1625,11 @@ mod tests {
         let low_second = core.submit(spec(0)).unwrap();
         let high = core.submit(spec(5)).unwrap();
         let negative = core.submit(spec(-1)).unwrap();
-        let drained: Vec<String> = std::iter::from_fn(|| core.claim(None))
-            .map(|(job, _, _)| job)
+        let drained: Vec<String> = std::iter::from_fn(|| core.lease_unit("shard-0"))
+            .map(|grant| grant.job)
             .collect();
         assert_eq!(drained, vec![high, low_first, low_second, negative]);
-        assert!(core.claim(None).is_none(), "queue fully drained");
+        assert!(core.lease_unit("shard-0").is_none(), "queue fully drained");
     }
 
     /// Two finished jobs that hit the same gadget produce one deduplicated
@@ -1755,9 +1649,9 @@ mod tests {
         let spec = || JobSpec::new(7).with_budget(60).add_cell(5, "CT-SEQ");
         for _ in 0..2 {
             let job = core.submit(spec()).unwrap();
-            let (claimed, spec, checkpoint) = core.claim(None).unwrap();
-            assert_eq!(claimed, job);
-            core.drive(&job, &spec, checkpoint);
+            let grant = core.lease_unit("shard-0").unwrap();
+            assert_eq!(grant.job, job);
+            core.drive_unit(grant);
             assert_eq!(core.status(&job).unwrap().phase, JobPhase::Done);
         }
         let merged = rvz_store::Store::open(&dir).unwrap().merged().unwrap();
@@ -1765,6 +1659,67 @@ mod tests {
         assert_eq!(merged[0].count, 2);
         assert_eq!(merged[0].jobs.len(), 2);
         assert_eq!(merged[0].entry.target, 5);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A terminal job keeps no per-unit checkpoints — neither in memory
+    /// nor in its terminal spool snapshot — while `status` still lists
+    /// every unit with its phase and last wave.
+    #[test]
+    fn terminal_jobs_drop_their_unit_checkpoints() {
+        let dir = std::env::temp_dir()
+            .join(format!("rvz-core-test-{}-terminal-units", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config =
+            ServiceConfig { shards: 1, spool: Some(dir.clone()), ..ServiceConfig::default() };
+        let core = ServiceCore::new(config).unwrap();
+        let unit_checkpoints = |job: &str| -> Vec<bool> {
+            let state = core.state.lock().unwrap();
+            state.jobs[job].units.iter().flatten().map(|u| u.checkpoint.is_some()).collect()
+        };
+        let spool_units = |job: &str| -> Vec<UnitRecord> {
+            let records = Spool::open(&dir).unwrap().load_all();
+            let record = records.into_iter().find(|r| r.job == job).expect("record kept");
+            record.units.expect("unit records kept")
+        };
+
+        // Finished: both units ran to their final wave.
+        let spec = JobSpec::new(7).with_budget(20).add_cell(1, "CT-SEQ").add_cell(5, "CT-SEQ");
+        let done = core.submit(spec.clone()).unwrap();
+        while let Some(grant) = core.lease_unit("shard-0") {
+            core.drive_unit(grant);
+        }
+        assert_eq!(core.status(&done).unwrap().phase, JobPhase::Done);
+        assert_eq!(unit_checkpoints(&done), vec![false, false]);
+        assert!(spool_units(&done).iter().all(|u| u.checkpoint.is_none()));
+        let status = core.status(&done).unwrap();
+        assert_eq!(status.units.len(), 2);
+        for unit in &status.units {
+            let sub = spec.unit_matrix(unit.target).unwrap();
+            let mut run = sub.start();
+            while run.step(&mut revizor::campaign::NoopObserver) {}
+            assert_eq!(unit.phase, UnitPhase::Done);
+            assert_eq!(unit.wave, run.wave(), "unit t{} reports its last wave", unit.target);
+        }
+
+        // Cancelled mid-unit: the merged stopping checkpoint stays, the
+        // per-unit ones go.
+        let cancelled = core.submit(JobSpec::new(8).with_budget(200).add_cell(1, "CT-SEQ")).unwrap();
+        let grant = core.lease_unit("shard-0").unwrap();
+        let sub = grant.spec.unit_matrix(grant.target).unwrap();
+        let mut run = sub.start();
+        run.step(&mut revizor::campaign::NoopObserver);
+        let checkpoint = run.checkpoint();
+        assert_eq!(core.cancel(&cancelled).unwrap(), JobPhase::Running);
+        core.cancel_unit(&cancelled, grant.target, grant.lease, Some(checkpoint));
+        let status = core.status(&cancelled).unwrap();
+        assert_eq!(status.phase, JobPhase::Cancelled);
+        assert_eq!(status.units[0].wave, 1);
+        assert_eq!(unit_checkpoints(&cancelled), vec![false]);
+        assert!(spool_units(&cancelled).iter().all(|u| u.checkpoint.is_none()));
+        let records = Spool::open(&dir).unwrap().load_all();
+        let record = records.iter().find(|r| r.job == cancelled).unwrap();
+        assert_eq!(record.checkpoint.as_ref().map(|cp| cp.groups[0].next_index), Some(10));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1780,21 +1735,21 @@ mod tests {
         assert_eq!(core.status(&job).unwrap().phase, JobPhase::Cancelled);
         let result = core.result(&job).unwrap().expect("cancelled result payload");
         assert_eq!(result.get("cancelled").and_then(Json::as_bool), Some(true));
-        // A cancelled job is never claimed.
-        assert!(core.claim(None).is_none());
+        // A cancelled job is never leased.
+        assert!(core.lease_unit("shard-0").is_none());
         // The event log terminates with a cancelled `done` event.
         let events = core.events_from(&job, 0).unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].get("event").and_then(Json::as_str), Some("done"));
         assert_eq!(events[0].get("cancelled").and_then(Json::as_bool), Some(true));
-        // A running job cancels cooperatively: the claim holder observes
+        // A running job cancels cooperatively: the lease holder observes
         // the request at its next wave boundary.
         let running = core.submit(JobSpec::new(2).add_cell(1, "CT-SEQ")).unwrap();
-        let (claimed, _, _) = core.claim(None).unwrap();
-        assert_eq!(claimed, running);
+        let grant = core.lease_unit("shard-0").unwrap();
+        assert_eq!(grant.job, running);
         assert_eq!(core.cancel(&running).unwrap(), JobPhase::Running);
         assert!(core.cancel_requested(&running));
-        core.finish_cancelled(&running, None);
+        core.finish_cancelled(&running);
         assert!(!core.cancel_requested(&running), "terminal phase clears the request");
         assert_eq!(core.status(&running).unwrap().phase, JobPhase::Cancelled);
         // Completing after cancellation must not overwrite the terminal state.
@@ -1802,22 +1757,39 @@ mod tests {
         assert_eq!(core.status(&running).unwrap().phase, JobPhase::Cancelled);
     }
 
+    /// A running job no driver holds a unit of (one unit done, the next
+    /// not leased yet) has nobody to honor a cooperative cancel: it must
+    /// cancel at once instead of staying `Running` forever.
     #[test]
-    fn pending_cancel_survives_requeue_and_claim_never_redispatches_it() {
+    fn cancel_between_units_is_immediate() {
+        let config = ServiceConfig { shards: 1, ..ServiceConfig::default() };
+        let core = ServiceCore::new(config).unwrap();
+        let job = core
+            .submit(JobSpec::new(7).with_budget(10).add_cell(1, "CT-SEQ").add_cell(5, "CT-SEQ"))
+            .unwrap();
+        core.drive_unit(core.lease_unit("shard-0").expect("first unit leases"));
+        assert_eq!(core.status(&job).unwrap().phase, JobPhase::Running);
+        assert_eq!(core.cancel(&job).unwrap(), JobPhase::Cancelled);
+        assert_eq!(core.status(&job).unwrap().phase, JobPhase::Cancelled);
+        assert!(core.lease_unit("shard-0").is_none(), "the second unit never leases");
+    }
+
+    #[test]
+    fn pending_cancel_survives_requeue_and_lease_never_redispatches_it() {
         let config = ServiceConfig { shards: 1, ..ServiceConfig::default() };
         let core = ServiceCore::new(config).unwrap();
         // A cancel that lands while the job runs, whose driver then dies
-        // (worker host lost): requeue must cancel terminally, not hand the
-        // job back to the queue.
+        // (worker host lost): the release must cancel terminally, not hand
+        // the job back to the queue.
         let job = core.submit(JobSpec::new(1).add_cell(1, "CT-SEQ")).unwrap();
-        core.claim(Some("w1")).expect("claimed");
+        let grant = core.lease_unit("w1").expect("leased");
         assert_eq!(core.cancel(&job).unwrap(), JobPhase::Running);
-        core.requeue_interrupted(&job);
+        core.release_unit(&job, grant.target, grant.lease);
         assert_eq!(core.status(&job).unwrap().phase, JobPhase::Cancelled);
         assert!(core.result(&job).unwrap().is_some(), "terminal result published");
 
         // Defense in depth: even a Queued job carrying the flag (the
-        // cancel raced a requeue) is cancelled at claim time, never
+        // cancel raced a requeue) is cancelled at lease time, never
         // dispatched — and does not shadow other queued work.
         let stuck = core.submit(JobSpec::new(2).add_cell(1, "CT-SEQ")).unwrap();
         let next = core.submit(JobSpec::new(3).add_cell(1, "CT-SEQ")).unwrap();
@@ -1825,8 +1797,8 @@ mod tests {
             let mut state = core.state.lock().unwrap();
             state.jobs.get_mut(&stuck).unwrap().cancel_requested = true;
         }
-        let (claimed, _, _) = core.claim(None).expect("other work still claimable");
-        assert_eq!(claimed, next);
+        let grant = core.lease_unit("shard-0").expect("other work still leasable");
+        assert_eq!(grant.job, next);
         assert_eq!(core.status(&stuck).unwrap().phase, JobPhase::Cancelled);
     }
 
@@ -1858,7 +1830,7 @@ mod tests {
         };
         let core = ServiceCore::new(config).unwrap();
         assert_eq!(core.status("j-test-9").unwrap().phase, JobPhase::Cancelled);
-        assert!(core.claim(None).is_none(), "never dispatched");
+        assert!(core.lease_unit("shard-0").is_none(), "never dispatched");
         // The cancelled phase is durable for the *next* restart too.
         let record = Spool::open(&dir).unwrap().load_all().remove(0);
         assert_eq!(record.phase, JobPhase::Cancelled);
@@ -1896,8 +1868,8 @@ mod tests {
             ..ServiceConfig::default()
         };
         let core = ServiceCore::new(config).unwrap();
-        let drained: Vec<String> = std::iter::from_fn(|| core.claim(None))
-            .map(|(job, _, _)| job)
+        let drained: Vec<String> = std::iter::from_fn(|| core.lease_unit("shard-0"))
+            .map(|grant| grant.job)
             .collect();
         assert_eq!(drained, vec!["jzz-9", "jmm-a", "jaa-10"]);
         // And fresh ids keep allocating above the highest restored counter.
@@ -1941,13 +1913,7 @@ mod tests {
 
     /// The sub-checkpoint of the group unit `target` belongs to, at wave 0.
     fn sub_checkpoint(spec: &JobSpec, target: u8) -> MatrixCheckpoint {
-        let matrix = spec.to_matrix().expect("spec resolves");
-        matrix
-            .group_matrices()
-            .into_iter()
-            .find(|m| m.cells().iter().any(|c| c.target.id == target))
-            .expect("target has a group")
-            .initial_checkpoint()
+        spec.unit_matrix(target).expect("target has a group").initial_checkpoint()
     }
 
     #[test]

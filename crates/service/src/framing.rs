@@ -10,11 +10,9 @@
 //! The worker port additionally interleaves **binary frames**
 //! ([`rvz_bench::binfmt`]) on the same socket: a JSON line always opens
 //! with `{`, a binary frame with the `RVZB` magic, so [`next_frame`] can
-//! pop whichever is buffered next.  Which peers speak binary is
-//! negotiated per connection (a worker advertises `"binary": true` in its
-//! `register` frame; the coordinator answers binary grants, and the
-//! worker replies to a binary grant with binary wave transfers) — old
-//! JSON-only peers keep working unchanged.
+//! pop whichever is buffered next.  Work-unit grants and checkpoint
+//! transfers always travel as binary frames; control frames are JSON
+//! lines.
 
 use rvz_bench::binfmt;
 use rvz_bench::json::Json;

@@ -127,6 +127,23 @@ impl JobSpec {
         targets
     }
 
+    /// Resolve the single-group sub-matrix of the work unit that drives
+    /// `target`'s cell group — the stream every unit driver (a fleet
+    /// worker host or an in-process shard) steps.  Its seeds derive from
+    /// (matrix seed, target id, index) alone, so it is byte-identical to
+    /// the same group inside a full-matrix run.
+    ///
+    /// # Errors
+    /// Returns a message when the spec does not resolve or has no cell
+    /// group for `target`.
+    pub(crate) fn unit_matrix(&self, target: u8) -> Result<CampaignMatrix, String> {
+        self.to_matrix()?
+            .group_matrices()
+            .into_iter()
+            .find(|m| m.cells().iter().any(|c| c.target.id == target))
+            .ok_or_else(|| format!("spec has no cell group for target {target}"))
+    }
+
     /// Resolve the spec into a runnable matrix.
     ///
     /// # Errors

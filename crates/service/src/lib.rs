@@ -3,33 +3,39 @@
 //! Serving fuzzing campaigns as a service: the sharded front-end of the
 //! ROADMAP's north star.  A *job* is a [`CampaignMatrix`] spec — any
 //! (target, contract) cell set with its budget and seed, so every existing
-//! harness (Table 3, contract sensitivity, detection) is submittable.  Jobs
-//! are distributed over long-lived shard workers, driven incrementally
-//! (one checkpointable wave at a time — [`MatrixRun`]), and their progress
-//! is streamed to subscribed clients as JSON lines.
+//! harness (Table 3, contract sensitivity, detection) is submittable.
+//!
+//! There is **one scheduler**.  Every job splits into relocatable *work
+//! units*, one per target group of its matrix, on one global unit queue
+//! (highest priority first, FIFO within a priority).  Unit drivers
+//! *lease* units, step each one incrementally (one checkpointable wave at
+//! a time — [`MatrixRun`]), replicate a sub-checkpoint into the spool
+//! after every wave, and the core merges finished units into one job
+//! result.  Progress is streamed to subscribed clients as JSON lines.
+//! The drivers are either the `shards` in-process threads or, in **fleet
+//! mode** ([`ServiceConfig::worker_listen`]), an elastic fleet of worker
+//! hosts (`revizor-worker`) that register at runtime over the fleet port,
+//! so hosts can join or leave mid-job:
 //!
 //! ```text
-//!  revizor-submit ──┐                       ┌─ shard 0 ─ MatrixRun(job A) ─┐
-//!  revizor-submit ──┼─► TCP reactor ─ core ─┼─ shard 1 ─ MatrixRun(job B) ─┼─► spool/
-//!  Client / watch ◄─┘   (JSON lines)   │    └─ …                           │   *.json
-//!                                      └──────── event logs ◄──────────────┘
+//!  revizor-submit ──┐                       ┌─ shard-0 ──┐  lease / wave /
+//!  revizor-submit ──┼─► TCP reactor ─ core ─┼─ shard-1 ──┼─ complete_unit
+//!  Client / watch ◄─┘   (JSON lines)   │    └─ coordinator ◄─► revizor-worker …
+//!                                      │       (binary unit frames)
+//!                                      ├── unit queue ── spool/*.rvz
+//!                                      └── event logs
 //! ```
 //!
-//! In **fleet mode** ([`ServiceConfig::worker_listen`]) the shard
-//! threads are replaced by an elastic fleet of worker hosts
-//! (`revizor-worker`): workers *register at runtime* over the fleet
-//! port and *lease* relocatable work units — one unit per target group
-//! of a job's matrix — so hosts can join or leave mid-job.  The
-//! [`coordinator`] replicates every wave checkpoint (digest-validated)
-//! into the spool, *steals* units back from slow or departed workers at
-//! the last replicated sub-checkpoint (lease tokens fence the old
-//! owner's stale frames), merges finished units into one job result,
-//! and forwards cancellations — see [`coordinator`] and [`worker`] for
-//! the protocol, and `tests/chaos.rs` for the seeded fault-injection
-//! sweep proving verdicts survive any kill/drop/delay/steal
-//! interleaving byte-identically.  Jobs carry submit-time priorities
-//! (higher drains first) and can be cancelled cooperatively in either
-//! mode.  When the queued-unit backlog reaches
+//! In fleet mode the [`coordinator`] carries the same lease API over TCP:
+//! it replicates every wave checkpoint (digest-validated) into the spool,
+//! *steals* units back from slow or departed workers at the last
+//! replicated sub-checkpoint (lease tokens fence the old owner's stale
+//! frames), and forwards cancellations — see [`coordinator`] and
+//! [`worker`] for the protocol, and `tests/chaos.rs` for the seeded
+//! fault-injection sweep proving verdicts survive any
+//! kill/drop/delay/steal interleaving byte-identically.  Jobs carry
+//! submit-time priorities (higher drains first) and can be cancelled
+//! cooperatively in either mode.  When the queued-unit backlog reaches
 //! [`ServiceConfig::queue_watermark`], `submit` defers with a
 //! retry-after hint instead of queueing unbounded work
 //! ([`Client::try_submit`]).
@@ -45,7 +51,8 @@
 //!   restart, and the resumed verdicts are byte-identical too (unit seeds
 //!   derive from `(matrix seed, target id, index)` alone).
 //! * **Isolation** — concurrent jobs share nothing but the process: each
-//!   has its own `MatrixRun`, event log and (optional) measurement pool.
+//!   unit has its own `MatrixRun` and (optional) measurement pool, each
+//!   job its own event log.
 //!
 //! The TCP front-end is a non-blocking poll reactor in async *shape* (the
 //! vendored, offline workspace has no tokio); see [`server`] for the
@@ -86,8 +93,8 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// A running service instance: shard workers plus (optionally) the TCP
-/// front-end, owned together.
+/// A running service instance: the unit drivers (shard threads or the
+/// fleet coordinator) plus (optionally) the TCP front-end, owned together.
 ///
 /// ```no_run
 /// use rvz_service::{JobSpec, ServiceConfig, ServiceHandle};
@@ -109,10 +116,10 @@ impl ServiceHandle {
     /// Start the service, resuming any unfinished spool jobs.
     ///
     /// With [`ServiceConfig::worker_listen`] unset this spawns the
-    /// in-process shard workers; set, the service runs in **multi-host
-    /// mode** instead — no local shards, jobs are dispatched to
-    /// `revizor-worker` hosts connecting on that address (see
-    /// [`coordinator`]).  The client-facing TCP reactor is attached in
+    /// in-process shard threads, each leasing work units like a fleet
+    /// worker; set, the service runs in **fleet mode** instead — no local
+    /// shards, units are leased to `revizor-worker` hosts connecting on
+    /// that address (see [`coordinator`]).  The client-facing TCP reactor is attached in
     /// either mode when [`ServiceConfig::listen`] is set.
     ///
     /// # Errors
@@ -130,7 +137,7 @@ impl ServiceHandle {
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("rvz-service-shard-{shard}"))
-                    .spawn(move || core.run_worker(shard))
+                    .spawn(move || core.run_shard(shard))
                     .map_err(io::Error::other)?,
             );
         }
@@ -195,10 +202,10 @@ impl ServiceHandle {
         self.core.cancel(job)
     }
 
-    /// Stop the service: workers halt at their next wave boundary, persist
-    /// a checkpoint for any in-flight job and exit — exactly the state a
-    /// killed server leaves behind, so unfinished jobs resume on the next
-    /// [`ServiceHandle::start`] over the same spool.
+    /// Stop the service: shards halt at their next wave boundary, release
+    /// their units (each already replicated its last wave) and exit —
+    /// exactly the state a killed server leaves behind, so unfinished jobs
+    /// resume on the next [`ServiceHandle::start`] over the same spool.
     pub fn shutdown(self) {
         self.core.stop();
         for worker in self.workers {

@@ -40,10 +40,11 @@ pub const COMPACT_AFTER: usize = 64;
 /// Lifecycle phase of a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobPhase {
-    /// Submitted, not yet picked up by its shard (or re-queued after a
+    /// Submitted, not yet leased by a unit driver (or re-queued after a
     /// server restart).
     Queued,
-    /// Currently being driven by a shard worker.
+    /// Its work units are being driven (by in-process shards or fleet
+    /// workers).
     Running,
     /// Finished; the result payload is available.
     Done,
@@ -113,16 +114,17 @@ impl UnitPhase {
     }
 }
 
-/// One work unit's durable record (fleet mode only): the unit's target
-/// group, its phase and its last replicated sub-run checkpoint.
+/// One work unit's durable record: the unit's target group, its phase and
+/// its last replicated sub-run checkpoint.
 #[derive(Debug, Clone)]
 pub struct UnitRecord {
     /// The Table 2 target id whose cell group this unit drives.
     pub target: u8,
     /// Phase at the time of the last save.
     pub phase: UnitPhase,
-    /// Last replicated sub-run checkpoint (`None` before the first wave;
-    /// the final sub-run checkpoint once the unit is done).
+    /// Last replicated sub-run checkpoint (`None` before the first wave,
+    /// and again once the job is terminal — its result holds everything
+    /// that remains).
     pub checkpoint: Option<MatrixCheckpoint>,
 }
 
@@ -137,12 +139,13 @@ pub struct SpoolRecord {
     pub phase: JobPhase,
     /// Latest wave checkpoint, when the job has started but not finished
     /// (kept on cancellation too, as a record of where the job stopped).
-    /// In fleet mode this is the merged full-matrix view of the per-unit
-    /// checkpoints below.
+    /// Once units exist this is the merged full-matrix view of the
+    /// per-unit checkpoints below.
     pub checkpoint: Option<MatrixCheckpoint>,
-    /// Per-unit state, once the job's work units have materialized (fleet
-    /// mode).  `None` for shard-mode jobs and legacy records — restore
-    /// falls back to splitting `checkpoint` by target group.
+    /// Per-unit state, once the job's work units have materialized (at
+    /// its first lease).  `None` before that, and in records written by
+    /// servers that drove in-process jobs whole — restore falls back to
+    /// splitting `checkpoint` by target group.
     pub units: Option<Vec<UnitRecord>>,
     /// Result payload, when the job is done (or cancelled).
     pub result: Option<Json>,

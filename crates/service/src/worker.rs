@@ -1,19 +1,21 @@
 //! Fleet mode: the worker-host side of the worker protocol.
 //!
 //! A worker (`revizor-worker`) dials the coordinator's worker port,
-//! registers, and then pulls **work units** one at a time: it sends
-//! `lease` (heartbeating while it waits), receives a `grant` naming one
-//! target group of a job plus a lease token and an optional sub-run
-//! checkpoint, resolves the job's [`JobSpec`] into the unit's single-group
+//! registers, and then pulls **work units** — the same units the
+//! in-process shards lease — one at a time: it sends `lease` (heartbeating
+//! while it waits), receives a binary `grant` frame naming one target
+//! group of a job plus a lease token and an optional sub-run checkpoint,
+//! resolves the job's [`JobSpec`] into the unit's single-group
 //! [`CampaignMatrix`], and steps the resulting
 //! [`MatrixRun`](revizor::orchestrator::MatrixRun) wave by wave.  After
 //! every wave it streams the sub-checkpoint (plus digest, lease token and
-//! progress events) to the coordinator and blocks for the `ack` — so the
-//! coordinator's spool replica is never more than one wave behind, and a
-//! worker that dies mid-unit loses at most the wave it was computing.
-//! When the unit's budget is exhausted it ships the final checkpoint
-//! (`unit_done`) — the coordinator reconstructs the cell reports from it —
-//! and leases again.
+//! progress events) to the coordinator as a binary transfer frame and
+//! blocks for the `ack` — so the coordinator's spool replica is never
+//! more than one wave behind, and a worker that dies mid-unit loses at
+//! most the wave it was computing.  When the unit's budget is exhausted
+//! it ships the final checkpoint (`unit_done`) — the coordinator
+//! reconstructs the cell reports from it — and leases again.  Control
+//! frames (`register`, `lease`, `ack`, `cancel`, …) are JSON lines.
 //!
 //! An `ack` with `"revoked": true` (or a standalone `revoke` frame) means
 //! the unit was stolen: the worker abandons it immediately and leases new
@@ -34,15 +36,13 @@
 //!
 //! [`CampaignMatrix`]: revizor::orchestrator::CampaignMatrix
 
-use crate::core::EventCollector;
+use crate::core::{start_unit, EventCollector};
 use crate::framing;
 use crate::job::JobSpec;
 use revizor::orchestrator::MatrixCheckpoint;
 use rvz_bench::binfmt;
 use rvz_bench::json::{parse, Json};
-use rvz_bench::report::{
-    checkpoint_transfer_to_binary, checkpoint_transfer_to_json, matrix_checkpoint_from_json,
-};
+use rvz_bench::report::checkpoint_transfer_to_binary;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -77,12 +77,6 @@ pub struct WorkerConfig {
     /// reconnect) before giving up.  Lets workers start before the
     /// coordinator and survive coordinator restarts.
     pub retry_for: Duration,
-    /// Do not advertise binary-frame support at registration
-    /// (`revizor-worker --wire-format=json`): the coordinator then sends
-    /// JSON grants and this worker replies with JSON wave transfers.
-    /// Verdicts are format-independent, so mixed fleets stay
-    /// byte-identical — the chaos harness checks exactly that.
-    pub force_json: bool,
 }
 
 impl WorkerConfig {
@@ -92,7 +86,6 @@ impl WorkerConfig {
             coordinator: coordinator.into(),
             name: format!("worker-{}", std::process::id()),
             retry_for: Duration::from_secs(10),
-            force_json: false,
         }
     }
 }
@@ -109,10 +102,9 @@ enum Flow {
 
 /// One message read off the coordinator connection.
 enum Msg {
-    /// A JSON protocol frame (grants, acks, revokes, cancels, shutdown).
+    /// A JSON control frame (acks, revokes, cancels, shutdown).
     Json(Json),
-    /// A parsed binary frame (a grant, when the coordinator speaks
-    /// binary — control frames stay JSON in both directions).
+    /// A parsed binary frame (a grant).
     Binary(binfmt::Frame),
 }
 
@@ -143,8 +135,7 @@ impl FrameConn {
         self.stream.write_all(line.as_bytes())
     }
 
-    /// Send one pre-encoded frame (a `\n`-terminated JSON line or a
-    /// self-delimiting binary frame).
+    /// Send one pre-encoded, self-delimiting binary frame.
     fn send_raw(&mut self, frame: &[u8]) -> io::Result<()> {
         self.stream.write_all(frame)
     }
@@ -231,16 +222,14 @@ impl FrameConn {
     }
 }
 
-/// One granted unit, in whichever format the coordinator spoke.
+/// One granted unit, as the coordinator's binary grant frame carries it.
 struct Grant {
-    /// The grant's routing fields (`job`, `target`, `lease`, `spec`; JSON
-    /// grants also carry `checkpoint` here).
+    /// The grant's routing fields (`job`, `target`, `lease`, `spec`).
     meta: Json,
-    /// The binary grant frame, when the coordinator sent one — the unit's
-    /// wave transfers then go back in binary too.  Its checkpoint section
-    /// is decoded inside [`Worker::run_unit`] so a decode failure reports
-    /// `unit_failed` exactly like an undecodable JSON checkpoint.
-    frame: Option<binfmt::Frame>,
+    /// The grant frame itself.  Its checkpoint section is decoded inside
+    /// [`Worker::run_unit`], so a decode failure reports `unit_failed`
+    /// for the unit the meta names.
+    frame: binfmt::Frame,
 }
 
 /// A worker host: connects to a coordinator and drives leased work units
@@ -272,10 +261,8 @@ impl Worker {
     pub fn run(mut self) -> io::Result<()> {
         'reconnect: loop {
             let mut conn = FrameConn::connect(&self.config.coordinator, self.config.retry_for)?;
-            let register = Json::obj()
-                .field("op", "register")
-                .field("worker", self.config.name.as_str())
-                .field("binary", !self.config.force_json);
+            let register =
+                Json::obj().field("op", "register").field("worker", self.config.name.as_str());
             if conn.send(&register).is_err() {
                 continue;
             }
@@ -287,17 +274,17 @@ impl Worker {
                 }
                 let grant = loop {
                     match conn.read_frame_for(Duration::from_millis(250)) {
-                        Ok(Some(Msg::Json(frame))) => match framing::op(&frame) {
-                            Some("grant") => break Grant { meta: frame, frame: None },
-                            Some("shutdown") => return Ok(()),
+                        Ok(Some(Msg::Json(frame))) => {
                             // `registered` acks and stragglers for units
                             // this worker no longer holds (stale acks,
                             // revokes, cancels) need no action.
-                            _ => {}
-                        },
+                            if framing::op(&frame) == Some("shutdown") {
+                                return Ok(());
+                            }
+                        }
                         Ok(Some(Msg::Binary(frame))) if frame.kind == binfmt::KIND_GRANT => {
                             match frame.json_section(binfmt::TAG_META, "grant meta") {
-                                Ok(meta) => break Grant { meta, frame: Some(frame) },
+                                Ok(meta) => break Grant { meta, frame },
                                 // A grant whose meta does not decode is a
                                 // protocol bug; resync on a fresh
                                 // connection.
@@ -326,7 +313,6 @@ impl Worker {
     /// Drive one granted unit: step its single-group sub-run, replicate,
     /// ack-gate, honor cancels, revokes and injected faults.
     fn run_unit(&mut self, conn: &mut FrameConn, grant: &Grant) -> Flow {
-        let binary = grant.frame.is_some();
         let meta = &grant.meta;
         let Some(job) = meta.get("job").and_then(Json::as_str).map(str::to_string) else {
             return Flow::Continue;
@@ -349,48 +335,18 @@ impl Worker {
                 Err(e) => return fail(conn, &e),
             },
         };
-        let checkpoint = match &grant.frame {
-            Some(frame) => match frame.section(binfmt::TAG_CHECKPOINT) {
-                None => None,
-                Some(_) => match frame.checkpoint_section(binfmt::TAG_CHECKPOINT, "checkpoint") {
-                    Ok(cp) => Some(cp),
-                    Err(e) => return fail(conn, &e),
-                },
-            },
-            None => match meta.get("checkpoint") {
-                None | Some(Json::Null) => None,
-                Some(cp) => match matrix_checkpoint_from_json(cp) {
-                    Ok(cp) => Some(cp),
-                    Err(e) => return fail(conn, &e),
-                },
+        let checkpoint = match grant.frame.section(binfmt::TAG_CHECKPOINT) {
+            None => None,
+            Some(_) => match grant.frame.checkpoint_section(binfmt::TAG_CHECKPOINT, "checkpoint") {
+                Ok(cp) => Some(cp),
+                Err(e) => return fail(conn, &e),
             },
         };
-        let matrix = match spec.to_matrix() {
-            Ok(matrix) => matrix,
+        let sub = match spec.unit_matrix(target) {
+            Ok(sub) => sub,
             Err(e) => return fail(conn, &e),
         };
-        // The unit is one target group of the job's matrix: resolve the
-        // single-group sub-matrix whose stream this worker drives.  The
-        // sub-run's seeds derive from (matrix seed, target id, index)
-        // alone, so it is byte-identical to the same group inside an
-        // in-process full-matrix run.
-        let Some(sub) = matrix
-            .group_matrices()
-            .into_iter()
-            .find(|m| m.cells().iter().any(|c| c.target.id == target))
-        else {
-            return fail(conn, &format!("spec has no cell group for target {target}"));
-        };
-        let mut run = match &checkpoint {
-            Some(cp) => match sub.resume(cp) {
-                Ok(run) => run,
-                Err(e) => {
-                    eprintln!("worker: {job} unit t{target}: stale checkpoint ({e}); restarting");
-                    sub.start()
-                }
-            },
-            None => sub.start(),
-        };
+        let mut run = start_unit(&sub, &job, target, checkpoint.as_ref());
 
         let mut collector = EventCollector { job: job.clone(), events: Vec::new() };
         let mut cancelled = false;
@@ -418,7 +374,6 @@ impl Worker {
             }
             if cancelled {
                 let stop = Self::transfer_frame(
-                    binary,
                     &job,
                     &run.checkpoint(),
                     "unit_cancelled",
@@ -439,7 +394,6 @@ impl Worker {
             // spool replica stays at most one wave behind).
             let wave = run.wave();
             let transfer = Self::transfer_frame(
-                binary,
                 &job,
                 &run.checkpoint(),
                 "wave",
@@ -484,7 +438,6 @@ impl Worker {
         // the coordinator resumes it with zero steps to reconstruct the
         // exact cell reports, so no report is computed (or shipped) here.
         let done = Self::transfer_frame(
-            binary,
             &job,
             &run.checkpoint(),
             "unit_done",
@@ -499,9 +452,8 @@ impl Worker {
     }
 
     /// Encode one checkpoint transfer (`wave` / `unit_done` /
-    /// `unit_cancelled`) in the unit's negotiated format, ready to write.
+    /// `unit_cancelled`) as a binary frame, ready to write.
     fn transfer_frame(
-        binary: bool,
         job: &str,
         cp: &MatrixCheckpoint,
         op: &str,
@@ -509,25 +461,11 @@ impl Worker {
         lease: u64,
         events: Option<Vec<Json>>,
     ) -> Vec<u8> {
-        if binary {
-            let mut meta =
-                Json::obj().field("op", op).field("target", target).field("lease", lease);
-            if let Some(events) = events {
-                meta = meta.field("events", Json::Arr(events));
-            }
-            checkpoint_transfer_to_binary(job, cp, &meta)
-        } else {
-            let mut doc = checkpoint_transfer_to_json(job, cp)
-                .field("op", op)
-                .field("target", target)
-                .field("lease", lease);
-            if let Some(events) = events {
-                doc = doc.field("events", Json::Arr(events));
-            }
-            let mut line = doc.render();
-            line.push('\n');
-            line.into_bytes()
+        let mut meta = Json::obj().field("op", op).field("target", target).field("lease", lease);
+        if let Some(events) = events {
+            meta = meta.field("events", Json::Arr(events));
         }
+        checkpoint_transfer_to_binary(job, cp, &meta)
     }
 
     /// Is this frame a revoke for the unit this worker is driving?

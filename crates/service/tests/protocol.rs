@@ -1,6 +1,6 @@
 //! Protocol round-trip properties: arbitrary client frames (submit with
-//! priorities, status/result/watch/cancel) and worker-protocol
-//! checkpoint-transfer payloads survive `rvz_bench::json` encode → decode
+//! priorities, status/result/watch/cancel) and checkpoint payloads
+//! survive `rvz_bench::json` encode → decode
 //! unchanged, and truncated or garbage frames yield clean errors — never
 //! panics, never a stalled reactor.
 
@@ -8,10 +8,7 @@ use revizor::orchestrator::{CellProgress, GroupProgress, MatrixCheckpoint};
 use revizor::diversity::PatternCoverage;
 use revizor::EffectivenessStats;
 use rvz_bench::json::{parse, Json};
-use rvz_bench::report::{
-    checkpoint_transfer_from_json, checkpoint_transfer_to_json, matrix_checkpoint_from_json,
-    matrix_checkpoint_to_json,
-};
+use rvz_bench::report::{matrix_checkpoint_from_json, matrix_checkpoint_to_json};
 use rvz_service::{Client, JobSpec, ServiceConfig, ServiceHandle};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
@@ -134,32 +131,24 @@ proptest! {
         prop_assert_eq!(&parse(&frame.render_ascii()).unwrap(), &frame);
     }
 
-    /// Checkpoint-transfer payloads round-trip exactly and their digests
-    /// validate end to end — for arbitrary scalar loads, group sets and
-    /// cell maps.
+    /// Checkpoint payloads round-trip exactly and their digests detect a
+    /// mutation — for arbitrary scalar loads, group sets and cell maps.
     #[test]
     fn checkpoint_transfers_round_trip_and_validate(
         s0 in any::<u64>(), s1 in any::<u64>(), s2 in any::<u64>(), s3 in any::<u64>(),
         groups in proptest::collection::vec(any::<u64>(), 0..4),
         cells in proptest::collection::vec(any::<u64>(), 0..8),
-        job_bits in any::<u64>(),
     ) {
         let groups: Vec<(u8, u64)> = groups.iter().map(|&g| ((g >> 5) as u8, g)).collect();
         let mut cp = checkpoint_from([s0, s1, s2, s3], &groups, &cells);
-        // The transfer header must agree with the payload's wave.
-        let job = job_string(job_bits);
-        let doc = checkpoint_transfer_to_json(&job, &cp).render();
-        let transfer = checkpoint_transfer_from_json(&parse(&doc).unwrap()).unwrap();
-        prop_assert_eq!(&transfer.job, &job);
-        prop_assert_eq!(&transfer.checkpoint, &cp);
-        prop_assert!(transfer.validates(), "decode must preserve the digest");
-        // The bare checkpoint codec agrees (the spool path).
+        let digest = cp.digest();
+        // The bare checkpoint codec round-trips exactly (the spool path).
         let bare = matrix_checkpoint_to_json(&cp).render();
         prop_assert_eq!(&matrix_checkpoint_from_json(&parse(&bare).unwrap()).unwrap(), &cp);
         // Sensitivity: a mutated payload no longer validates against the
         // original digest.
         cp.wave += 1;
-        prop_assert!(cp.digest() != transfer.digest);
+        prop_assert!(cp.digest() != digest);
     }
 
     /// Every strict prefix of a rendered frame is a clean parse error —
@@ -198,7 +187,6 @@ fn garbage_frames_do_not_stall_the_reactor() {
     let handle = ServiceHandle::start(ServiceConfig {
         shards: 1,
         spool: None,
-        checkpoint_every: 1,
         listen: Some("127.0.0.1:0".to_string()),
         worker_listen: None,
         ..ServiceConfig::default()
@@ -255,7 +243,6 @@ fn garbage_on_the_worker_port_drops_the_peer_not_the_coordinator() {
     let handle = ServiceHandle::start(ServiceConfig {
         shards: 1,
         spool: None,
-        checkpoint_every: 1,
         listen: None,
         worker_listen: Some("127.0.0.1:0".to_string()),
         ..ServiceConfig::default()
@@ -285,4 +272,38 @@ fn garbage_on_the_worker_port_drops_the_peer_not_the_coordinator() {
     handle.wait(&job).expect("job completes after the garbage peer");
     handle.shutdown();
     let _ = worker.join();
+}
+
+/// Checkpoint transfers are binary-only: a peer sending a well-formed JSON
+/// `wave` (the data plane of an older build) is dropped, not acked.
+#[test]
+fn json_checkpoint_transfers_drop_the_peer() {
+    let handle = ServiceHandle::start(ServiceConfig {
+        shards: 1,
+        spool: None,
+        listen: None,
+        worker_listen: Some("127.0.0.1:0".to_string()),
+        ..ServiceConfig::default()
+    })
+    .expect("coordinator starts");
+    let worker_addr = handle.worker_addr().expect("worker port bound");
+
+    let cp = JobSpec::new(3).add_cell(1, "CT-SEQ").to_matrix().unwrap().initial_checkpoint();
+    let wave = Json::obj()
+        .field("op", "wave")
+        .field("job", "j-old")
+        .field("target", 1u64)
+        .field("lease", 1u64)
+        .field("wave", cp.wave)
+        .field("digest", cp.digest())
+        .field("checkpoint", matrix_checkpoint_to_json(&cp));
+    let peer = TcpStream::connect(worker_addr).expect("peer connects");
+    let frames = format!("{}\n{}\n", Json::obj().field("op", "register").render(), wave.render());
+    (&peer).write_all(frames.as_bytes()).expect("write");
+    peer.set_read_timeout(Some(Duration::from_secs(10))).expect("set timeout");
+    let mut replies = String::new();
+    std::io::Read::read_to_string(&mut (&peer), &mut replies)
+        .expect("the coordinator must close the peer");
+    assert!(!replies.contains("\"ack\""), "a JSON transfer is never acked: {replies}");
+    handle.shutdown();
 }

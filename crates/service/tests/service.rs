@@ -6,8 +6,8 @@
 use rvz_bench::json::Json;
 use rvz_bench::report::matrix_cells_json;
 use rvz_service::{
-    deterministic_result, Client, JobPhase, JobSpec, ServiceConfig, ServiceHandle, Spool,
-    SubmitError, WatchError, Worker, WorkerConfig,
+    deterministic_result, job_result_json, Client, JobPhase, JobSpec, ServiceConfig,
+    ServiceHandle, Spool, SubmitError, WatchError, Worker, WorkerConfig,
 };
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -33,7 +33,6 @@ fn served_job_is_byte_identical_to_an_in_process_matrix_run() {
     let handle = ServiceHandle::start(ServiceConfig {
         shards: 2,
         spool: None,
-        checkpoint_every: 1,
         listen: Some("127.0.0.1:0".to_string()),
         worker_listen: None,
         ..ServiceConfig::default()
@@ -84,6 +83,48 @@ fn served_job_is_byte_identical_to_an_in_process_matrix_run() {
     handle.shutdown();
 }
 
+/// In-process shards drive a multi-group job as separate work units, and
+/// the merged result is the whole in-process `CampaignMatrix::run` result:
+/// cells and the measured / generated / statically filtered totals alike.
+#[test]
+fn multi_group_job_through_the_unit_path_matches_the_full_matrix_result() {
+    let handle = ServiceHandle::start(ServiceConfig {
+        shards: 2,
+        spool: None,
+        listen: Some("127.0.0.1:0".to_string()),
+        worker_listen: None,
+        ..ServiceConfig::default()
+    })
+    .expect("service starts");
+    let addr = handle.local_addr().expect("TCP front-end attached");
+
+    let spec = JobSpec::new(7)
+        .with_budget(40)
+        .add_cell(1, "CT-SEQ")
+        .add_cell(5, "CT-SEQ")
+        .add_cell(5, "CT-BPAS");
+    let mut client = Client::connect(addr).expect("client connects");
+    let job = client.submit(&spec).expect("job accepted");
+    let result = client.watch(&job, |_| {}).expect("job completes");
+
+    let baseline = spec.to_matrix().expect("spec resolves").run();
+    assert_eq!(
+        deterministic_result(&result).render(),
+        deterministic_result(&job_result_json("", &spec, &baseline)).render(),
+        "the merged units must reproduce the full-matrix result byte for byte"
+    );
+    let status = client.status(&job).expect("status");
+    let units = status.get("units").and_then(Json::as_array).expect("status lists units");
+    let targets: Vec<u64> =
+        units.iter().filter_map(|u| u.get("target").and_then(Json::as_u64)).collect();
+    assert_eq!(targets, vec![1, 5], "one unit per target group");
+    assert!(
+        units.iter().all(|u| u.get("state").and_then(Json::as_str) == Some("done")),
+        "both units ran to completion: {units:?}"
+    );
+    handle.shutdown();
+}
+
 #[test]
 fn killed_server_resumes_from_the_spool_byte_identically() {
     let dir = scratch_dir("resume");
@@ -99,7 +140,6 @@ fn killed_server_resumes_from_the_spool_byte_identically() {
     let config = |listen: Option<String>| ServiceConfig {
         shards: 1,
         spool: Some(dir.clone()),
-        checkpoint_every: 1,
         listen,
         worker_listen: None,
         ..ServiceConfig::default()
@@ -160,7 +200,6 @@ fn concurrent_clients_do_not_perturb_each_others_verdicts() {
     let handle = ServiceHandle::start(ServiceConfig {
         shards: 2,
         spool: None,
-        checkpoint_every: 1,
         listen: Some("127.0.0.1:0".to_string()),
         worker_listen: None,
         ..ServiceConfig::default()
@@ -205,7 +244,6 @@ fn restart_preserves_results_and_never_reuses_job_ids() {
     let config = || ServiceConfig {
         shards: 1,
         spool: Some(dir.clone()),
-        checkpoint_every: 1,
         listen: None,
         worker_listen: None,
         ..ServiceConfig::default()
@@ -260,7 +298,6 @@ fn multi_host_jobs_run_on_worker_hosts_byte_identically() {
     let handle = ServiceHandle::start(ServiceConfig {
         shards: 2, // ignored in coordinator mode
         spool: Some(dir.clone()),
-        checkpoint_every: 1,
         listen: None,
         worker_listen: Some("127.0.0.1:0".to_string()),
         ..ServiceConfig::default()
@@ -320,7 +357,6 @@ fn watch_surfaces_server_gone_and_the_job_resumes_on_restart() {
     let config = || ServiceConfig {
         shards: 1,
         spool: Some(dir.clone()),
-        checkpoint_every: 1,
         listen: Some("127.0.0.1:0".to_string()),
         worker_listen: None,
         ..ServiceConfig::default()
@@ -378,7 +414,6 @@ fn higher_priority_jobs_start_first_on_a_saturated_worker() {
     let handle = ServiceHandle::start(ServiceConfig {
         shards: 1,
         spool: None,
-        checkpoint_every: 1,
         listen: None,
         worker_listen: None,
         ..ServiceConfig::default()
@@ -434,7 +469,6 @@ fn priority_is_never_inverted_by_placement_across_shard_workers() {
     let handle = ServiceHandle::start(ServiceConfig {
         shards: 2,
         spool: None,
-        checkpoint_every: 1,
         listen: None,
         worker_listen: None,
         ..ServiceConfig::default()
@@ -495,7 +529,6 @@ fn cancelled_job_stops_emitting_and_its_spool_record_survives_restart() {
     let config = |listen: Option<String>| ServiceConfig {
         shards: 1,
         spool: Some(dir.clone()),
-        checkpoint_every: 1,
         listen,
         worker_listen: None,
         ..ServiceConfig::default()
@@ -583,7 +616,6 @@ fn protocol_errors_are_reported_not_fatal() {
     let handle = ServiceHandle::start(ServiceConfig {
         shards: 1,
         spool: None,
-        checkpoint_every: 1,
         listen: Some("127.0.0.1:0".to_string()),
         worker_listen: None,
         ..ServiceConfig::default()
@@ -613,7 +645,6 @@ fn backpressured_submits_retry_and_status_reports_unit_placement() {
     let handle = ServiceHandle::start(ServiceConfig {
         shards: 1,
         spool: None,
-        checkpoint_every: 1,
         listen: Some("127.0.0.1:0".to_string()),
         worker_listen: Some("127.0.0.1:0".to_string()),
         queue_watermark: 1,

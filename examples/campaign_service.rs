@@ -16,7 +16,8 @@ use revizor_suite::bench::report::matrix_cells_json;
 use revizor_suite::prelude::*;
 
 fn main() {
-    // An in-process service: two shard workers, no TCP, no spool.
+    // An in-process service: two shards leasing work units, no TCP, no
+    // spool.
     let handle = ServiceHandle::start(ServiceConfig::default()).expect("service starts");
 
     // Target 5 (Skylake, AR+MEM+CB) against the four Table 3 contracts.
@@ -59,7 +60,7 @@ fn main() {
     let urgent = handle
         .submit(JobSpec::new(12).with_budget(20).with_priority(10).add_cell(1, "CT-SEQ"))
         .expect("urgent job accepted");
-    // Queued → cancelled immediately; already claimed → cooperatively at
+    // Queued → cancelled immediately; already leased → cooperatively at
     // the next wave boundary.  Either way the wait returns the cancelled
     // payload and no verdicts are ever published for it.
     let phase = handle.cancel(&backlog).expect("cancel accepted");
