@@ -2,13 +2,12 @@
 
 use rvz_executor::HTrace;
 use rvz_model::CTrace;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// A group of inputs that share the same contract trace (an equivalence
 /// class of contract-trace equality, §4).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InputClass {
     /// Digest of the shared contract trace.
     pub ctrace_digest: u64,
@@ -26,7 +25,7 @@ impl InputClass {
 
 /// Input-effectiveness statistics, reported by the fuzzer to gauge how much
 /// of the input generation effort is wasted (§5.2).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EffectivenessStats {
     /// Total inputs analyzed.
     pub total_inputs: usize,
@@ -62,7 +61,7 @@ impl EffectivenessStats {
 
 /// A contract counterexample: two inputs with equal contract traces but
 /// non-equivalent hardware traces (Definition 1 violated).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// Index of the first input.
     pub input_a: usize,
@@ -85,7 +84,7 @@ impl fmt::Display for Violation {
 }
 
 /// The outcome of one relational analysis.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AnalysisResult {
     /// All detected violations (possibly several per class).
     pub violations: Vec<Violation>,

@@ -1,6 +1,8 @@
 //! The compact binary frame format for checkpoints, reports and spool
-//! records — the hot-path alternative to the JSON codecs in
-//! [`crate::report`].
+//! records, and the binary backend of the wire descriptions in
+//! [`crate::wire`] — the hot-path counterpart of the JSON backend in
+//! [`crate::report`].  Both backends run the same one description per wire
+//! type; [`encode`] and [`decode`] are this module's entry points.
 //!
 //! JSON remains the debug/interop form (and the client-port wire format);
 //! this module exists because checkpoint transfer is the coordinator's hot
@@ -34,15 +36,21 @@
 //!
 //! # Payload encodings
 //!
+//! A payload is the fields of a wire type in description order, with no
+//! names or per-field tags (the visitor method a description calls picks
+//! the form, see the table in [`crate::wire`]):
+//!
 //! * counters and lengths are LEB128 **varints**; signed integers are
 //!   zigzag-folded first — instruction streams pack into a few bytes per
 //!   instruction;
 //! * entropy-bearing words (seeds, digests, cache-set vectors, register
 //!   file contents) are **raw little-endian** `u64`s — a varint would
 //!   inflate them;
-//! * enumerations are one-byte indices into their canonical `ALL` arrays
-//!   (`Reg::ALL`, `Cond::ALL`, ...) — the array order is part of the wire
-//!   format, guarded by `FORMAT_VERSION`;
+//! * enumerations are one-byte indices into their type's `ALL` table
+//!   (`Reg::ALL`, `VulnClass::ALL`, ...) — the table order is part of the
+//!   wire format, guarded by `FORMAT_VERSION`; tagged sums (instructions,
+//!   operands, terminators) lead with a tag byte; options with a 0/1 byte;
+//!   pattern-coverage sets are one bitmask byte;
 //! * strings are varint-length-prefixed UTF-8; sandbox memory is raw
 //!   bytes, not hex.
 //!
@@ -53,22 +61,14 @@
 //! so a codec regression (in either format) is caught end to end.
 
 use crate::json::Json;
-use crate::report::{CheckpointTransfer, DecodeError};
-use revizor::diversity::{Pattern, PatternCoverage};
-use revizor::fuzzer::ViolationReport;
-use revizor::orchestrator::{CellProgress, GroupProgress, MatrixCheckpoint};
-use revizor::staticanalysis::{GadgetSignature, SourceKind, TransmitterKind};
-use revizor::VulnClass;
-use rvz_analyzer::{EffectivenessStats, Violation};
-use rvz_cache::SetVector;
-use rvz_executor::HTrace;
-use rvz_isa::{
-    AluOp, BasicBlock, BlockId, Cond, FlagSet, Input, Instr, MemOperand, Operand, Reg,
-    SandboxLayout, Terminator, TestCase, Width,
+use crate::report::CheckpointTransfer;
+use crate::wire::{
+    decode_with, encode_with, Blank, DecodeError, Int, Key, Slot, Visit, Visitor, Wire, WireEnum,
 };
-use rvz_model::{Contract, ExecutionClause, ObservationClause};
+use revizor::fuzzer::ViolationReport;
+use revizor::orchestrator::MatrixCheckpoint;
 use std::collections::BTreeSet;
-use std::time::Duration;
+use std::convert::Infallible;
 
 /// The frame magic: every binary frame starts with these four bytes.  The
 /// first byte (`R`) can never open a JSON line (`{`), which is how the
@@ -122,6 +122,7 @@ pub const TAG_REPORT: u8 = 7;
 // Writer primitives.
 
 /// Append a LEB128 varint.
+#[inline]
 pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
@@ -135,11 +136,13 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Append a zigzag-folded signed varint.
+#[inline]
 pub fn put_zigzag(out: &mut Vec<u8>, v: i64) {
     put_varint(out, ((v << 1) ^ (v >> 63)) as u64);
 }
 
 /// Append a raw little-endian `u64` (entropy-bearing words).
+#[inline]
 pub fn put_u64_le(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -152,16 +155,14 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(u8::from(v));
-}
-
 /// Append a varint-length-prefixed UTF-8 string.
+#[inline]
 pub fn put_str(out: &mut Vec<u8>, s: &str) {
     put_varint(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
 }
 
+#[inline]
 fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     put_varint(out, b.len() as u64);
     out.extend_from_slice(b);
@@ -178,20 +179,24 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// Read from the start of `buf`.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
     /// Bytes left to read.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Has every byte been consumed?
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.remaining() == 0
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         if self.remaining() < n {
             return Err(format!(
@@ -206,11 +211,13 @@ impl<'a> Reader<'a> {
     }
 
     /// Read one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1)?[0])
     }
 
     /// Read a LEB128 varint.
+    #[inline]
     pub fn varint(&mut self) -> Result<u64, DecodeError> {
         let mut v: u64 = 0;
         for shift in (0..64).step_by(7) {
@@ -228,32 +235,31 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a zigzag-folded signed varint.
+    #[inline]
     pub fn zigzag(&mut self) -> Result<i64, DecodeError> {
         let v = self.varint()?;
         Ok((v >> 1) as i64 ^ -((v & 1) as i64))
     }
 
     /// Read a varint into `usize` (or any narrower integer).
+    #[inline]
     pub fn int<T: TryFrom<u64>>(&mut self) -> Result<T, DecodeError> {
         let v = self.varint()?;
         T::try_from(v).map_err(|_| format!("integer {v} out of range"))
     }
 
     /// Read a raw little-endian `u64`.
+    #[inline]
     pub fn u64_le(&mut self) -> Result<u64, DecodeError> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
-    }
-
-    fn u32_le(&mut self) -> Result<u32, DecodeError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4-byte slice")))
     }
 
     fn f64(&mut self) -> Result<f64, DecodeError> {
         Ok(f64::from_bits(self.u64_le()?))
     }
 
+    #[inline]
     fn bool(&mut self) -> Result<bool, DecodeError> {
         match self.u8()? {
             0 => Ok(false),
@@ -263,12 +269,14 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a varint-length-prefixed UTF-8 string.
+    #[inline]
     pub fn str_(&mut self) -> Result<String, DecodeError> {
         let len: usize = self.int()?;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| "string is not valid UTF-8".to_string())
     }
 
+    #[inline]
     fn bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
         let len: usize = self.int()?;
         Ok(self.take(len)?.to_vec())
@@ -277,6 +285,7 @@ impl<'a> Reader<'a> {
     /// Read an element count and pre-flight it against the bytes left:
     /// every element costs at least one byte, so a count beyond
     /// `remaining()` is corrupt — reject it before allocating.
+    #[inline]
     fn count(&mut self) -> Result<usize, DecodeError> {
         let n: usize = self.int()?;
         if n > self.remaining() {
@@ -344,14 +353,6 @@ pub fn decode_rle(src: &[u8], max: usize) -> Result<Vec<u8>, DecodeError> {
     Ok(out)
 }
 
-fn enum_idx<T: Copy + PartialEq>(all: &[T], v: T) -> u8 {
-    all.iter().position(|x| *x == v).expect("enum value in its ALL array") as u8
-}
-
-fn enum_at<T: Copy>(all: &[T], idx: u8, what: &str) -> Result<T, DecodeError> {
-    all.get(usize::from(idx)).copied().ok_or_else(|| format!("invalid {what} index {idx}"))
-}
-
 // ---------------------------------------------------------------------------
 // Frames and section tables.
 
@@ -400,11 +401,11 @@ impl FrameBuilder {
     /// Append a [`MatrixCheckpoint`] section.
     pub fn checkpoint_section(self, tag: u8, cp: &MatrixCheckpoint) -> FrameBuilder {
         let mut out = Vec::new();
-        enc_checkpoint(&mut out, cp);
+        encode(&mut out, cp);
         self.section(tag, out)
     }
 
-    /// Serialize the frame (the body is zero-run packed).
+    /// Encode the frame (the body is zero-run packed).
     pub fn build(self) -> Vec<u8> {
         let mut body = Vec::new();
         put_varint(&mut body, self.sections.len() as u64);
@@ -521,8 +522,7 @@ impl Frame {
 
     /// Decode a required checkpoint section.
     pub fn checkpoint_section(&self, tag: u8, what: &str) -> Result<MatrixCheckpoint, DecodeError> {
-        let mut r = Reader::new(self.need(tag, what)?);
-        dec_checkpoint(&mut r)
+        decode(&mut Reader::new(self.need(tag, what)?))
     }
 }
 
@@ -605,753 +605,277 @@ pub fn dec_json(r: &mut Reader) -> Result<Json, DecodeError> {
 }
 
 // ---------------------------------------------------------------------------
-// ISA-level payload codecs.
+// The binary backend of the wire descriptions.
+//
+// `encode`/`decode` are generic, so they are compiled in the calling crate
+// (the service, the store, the benches); the backend methods and the
+// `Reader`/`put_*` primitives are `#[inline]` so that they still inline
+// there, as they did into the per-type codecs this backend replaced.
 
-fn enc_reg(out: &mut Vec<u8>, r: Reg) {
-    out.push(enum_idx(&Reg::ALL, r));
+/// Append the binary payload of any wire type (no frame header — see
+/// [`FrameBuilder`] and [`matrix_checkpoint_to_binary`] for framed forms).
+pub fn encode<T: Wire>(out: &mut Vec<u8>, x: &T) {
+    let mut encoder = BinOut(std::mem::take(out));
+    encode_with(&mut encoder, x);
+    *out = encoder.0;
 }
 
-fn dec_reg(r: &mut Reader) -> Result<Reg, DecodeError> {
-    let idx = r.u8()?;
-    enum_at(&Reg::ALL, idx, "register")
+/// Decode a payload written by [`encode`].
+///
+/// # Errors
+/// Returns a message on truncated or malformed input; never panics.
+pub fn decode<T: Wire>(r: &mut Reader) -> Result<T, DecodeError> {
+    let mut decoder = BinIn(Reader { buf: r.buf, pos: r.pos });
+    let value = decode_with(&mut decoder);
+    r.pos = decoder.0.pos;
+    value
 }
 
-fn enc_width(out: &mut Vec<u8>, w: Width) {
-    out.push(enum_idx(&Width::ALL, w));
-}
+/// The binary encoder: tagged varints appended to one buffer.
+struct BinOut(Vec<u8>);
 
-fn dec_width(r: &mut Reader) -> Result<Width, DecodeError> {
-    let idx = r.u8()?;
-    enum_at(&Width::ALL, idx, "width")
-}
+impl Visitor for BinOut {
+    type Error = Infallible;
+    const DECODES: bool = false;
+    const KEYED: bool = false;
 
-fn enc_cond(out: &mut Vec<u8>, c: Cond) {
-    out.push(enum_idx(&Cond::ALL, c));
-}
-
-fn dec_cond(r: &mut Reader) -> Result<Cond, DecodeError> {
-    let idx = r.u8()?;
-    enum_at(&Cond::ALL, idx, "condition code")
-}
-
-fn enc_mem_operand(out: &mut Vec<u8>, m: &MemOperand) {
-    enc_reg(out, m.base);
-    match m.index {
-        None => out.push(0),
-        Some(idx) => {
-            out.push(1);
-            enc_reg(out, idx);
-        }
+    #[inline]
+    fn count<N: Int>(&mut self, _: Key, x: Slot<'_, N>) -> Visit<Self> {
+        put_varint(&mut self.0, x.value().to_u64());
+        Ok(())
     }
-    out.push(m.scale);
-    put_zigzag(out, m.disp);
-}
 
-fn dec_mem_operand(r: &mut Reader) -> Result<MemOperand, DecodeError> {
-    let base = dec_reg(r)?;
-    let index = match r.u8()? {
-        0 => None,
-        1 => Some(dec_reg(r)?),
-        b => return Err(format!("invalid option byte {b:#04x} for index register")),
-    };
-    Ok(MemOperand { base, index, scale: r.u8()?, disp: r.zigzag()? })
-}
-
-const OP_REG: u8 = 0;
-const OP_IMM: u8 = 1;
-const OP_MEM: u8 = 2;
-
-fn enc_operand(out: &mut Vec<u8>, o: &Operand) {
-    match o {
-        Operand::Reg(reg, w) => {
-            out.push(OP_REG);
-            enc_reg(out, *reg);
-            enc_width(out, *w);
-        }
-        Operand::Imm(v) => {
-            out.push(OP_IMM);
-            put_zigzag(out, *v);
-        }
-        Operand::Mem(m, w) => {
-            out.push(OP_MEM);
-            enc_mem_operand(out, m);
-            enc_width(out, *w);
-        }
+    #[inline]
+    fn word<N: Int>(&mut self, _: Key, x: Slot<'_, N>) -> Visit<Self> {
+        self.0.extend_from_slice(&x.value().to_u64().to_le_bytes()[..N::BYTES]);
+        Ok(())
     }
-}
 
-fn dec_operand(r: &mut Reader) -> Result<Operand, DecodeError> {
-    match r.u8()? {
-        OP_REG => Ok(Operand::Reg(dec_reg(r)?, dec_width(r)?)),
-        OP_IMM => Ok(Operand::Imm(r.zigzag()?)),
-        OP_MEM => Ok(Operand::Mem(dec_mem_operand(r)?, dec_width(r)?)),
-        t => Err(format!("invalid operand tag {t:#04x}")),
+    #[inline]
+    fn flag(&mut self, _: Key, x: Slot<'_, bool>) -> Visit<Self> {
+        self.0.push(u8::from(*x.value()));
+        Ok(())
     }
-}
 
-const I_ALU: u8 = 0;
-const I_MOV: u8 = 1;
-const I_CMOV: u8 = 2;
-const I_SETCC: u8 = 3;
-const I_CMP: u8 = 4;
-const I_TEST: u8 = 5;
-const I_SHIFT: u8 = 6;
-const I_UNARY: u8 = 7;
-const I_DIV: u8 = 8;
-const I_IMUL: u8 = 9;
-const I_LEA: u8 = 10;
-const I_BSWAP: u8 = 11;
-const I_XCHG: u8 = 12;
-const I_LFENCE: u8 = 13;
-const I_MFENCE: u8 = 14;
-const I_NOP: u8 = 15;
-
-fn enc_instr(out: &mut Vec<u8>, i: &Instr) {
-    match i {
-        Instr::Alu { op, dest, src, lock } => {
-            out.push(I_ALU);
-            out.push(enum_idx(&AluOp::ALL, *op));
-            enc_operand(out, dest);
-            enc_operand(out, src);
-            put_bool(out, *lock);
-        }
-        Instr::Mov { dest, src } => {
-            out.push(I_MOV);
-            enc_operand(out, dest);
-            enc_operand(out, src);
-        }
-        Instr::Cmov { cond, dest, src, width } => {
-            out.push(I_CMOV);
-            enc_cond(out, *cond);
-            enc_reg(out, *dest);
-            enc_operand(out, src);
-            enc_width(out, *width);
-        }
-        Instr::Setcc { cond, dest } => {
-            out.push(I_SETCC);
-            enc_cond(out, *cond);
-            enc_reg(out, *dest);
-        }
-        Instr::Cmp { a, b } => {
-            out.push(I_CMP);
-            enc_operand(out, a);
-            enc_operand(out, b);
-        }
-        Instr::Test { a, b } => {
-            out.push(I_TEST);
-            enc_operand(out, a);
-            enc_operand(out, b);
-        }
-        Instr::Shift { op, dest, amount } => {
-            out.push(I_SHIFT);
-            out.push(enum_idx(&rvz_isa::ShiftOp::ALL, *op));
-            enc_operand(out, dest);
-            enc_operand(out, amount);
-        }
-        Instr::Unary { op, dest } => {
-            out.push(I_UNARY);
-            out.push(enum_idx(&rvz_isa::UnaryOp::ALL, *op));
-            enc_operand(out, dest);
-        }
-        Instr::Div { src } => {
-            out.push(I_DIV);
-            enc_operand(out, src);
-        }
-        Instr::Imul { dest, src } => {
-            out.push(I_IMUL);
-            enc_reg(out, *dest);
-            enc_operand(out, src);
-        }
-        Instr::Lea { dest, addr } => {
-            out.push(I_LEA);
-            enc_reg(out, *dest);
-            enc_mem_operand(out, addr);
-        }
-        Instr::Bswap { dest } => {
-            out.push(I_BSWAP);
-            enc_reg(out, *dest);
-        }
-        Instr::Xchg { dest, src } => {
-            out.push(I_XCHG);
-            enc_reg(out, *dest);
-            enc_operand(out, src);
-        }
-        Instr::Lfence => out.push(I_LFENCE),
-        Instr::Mfence => out.push(I_MFENCE),
-        Instr::Nop => out.push(I_NOP),
+    #[inline]
+    fn signed(&mut self, _: Key, x: Slot<'_, i64>) -> Visit<Self> {
+        put_zigzag(&mut self.0, *x.value());
+        Ok(())
     }
-}
 
-fn dec_instr(r: &mut Reader) -> Result<Instr, DecodeError> {
-    match r.u8()? {
-        I_ALU => Ok(Instr::Alu {
-            op: {
-                let idx = r.u8()?;
-                enum_at(&AluOp::ALL, idx, "ALU op")?
-            },
-            dest: dec_operand(r)?,
-            src: dec_operand(r)?,
-            lock: r.bool()?,
-        }),
-        I_MOV => Ok(Instr::Mov { dest: dec_operand(r)?, src: dec_operand(r)? }),
-        I_CMOV => Ok(Instr::Cmov {
-            cond: dec_cond(r)?,
-            dest: dec_reg(r)?,
-            src: dec_operand(r)?,
-            width: dec_width(r)?,
-        }),
-        I_SETCC => Ok(Instr::Setcc { cond: dec_cond(r)?, dest: dec_reg(r)? }),
-        I_CMP => Ok(Instr::Cmp { a: dec_operand(r)?, b: dec_operand(r)? }),
-        I_TEST => Ok(Instr::Test { a: dec_operand(r)?, b: dec_operand(r)? }),
-        I_SHIFT => Ok(Instr::Shift {
-            op: {
-                let idx = r.u8()?;
-                enum_at(&rvz_isa::ShiftOp::ALL, idx, "shift op")?
-            },
-            dest: dec_operand(r)?,
-            amount: dec_operand(r)?,
-        }),
-        I_UNARY => Ok(Instr::Unary {
-            op: {
-                let idx = r.u8()?;
-                enum_at(&rvz_isa::UnaryOp::ALL, idx, "unary op")?
-            },
-            dest: dec_operand(r)?,
-        }),
-        I_DIV => Ok(Instr::Div { src: dec_operand(r)? }),
-        I_IMUL => Ok(Instr::Imul { dest: dec_reg(r)?, src: dec_operand(r)? }),
-        I_LEA => Ok(Instr::Lea { dest: dec_reg(r)?, addr: dec_mem_operand(r)? }),
-        I_BSWAP => Ok(Instr::Bswap { dest: dec_reg(r)? }),
-        I_XCHG => Ok(Instr::Xchg { dest: dec_reg(r)?, src: dec_operand(r)? }),
-        I_LFENCE => Ok(Instr::Lfence),
-        I_MFENCE => Ok(Instr::Mfence),
-        I_NOP => Ok(Instr::Nop),
-        t => Err(format!("invalid instruction tag {t:#04x}")),
+    #[inline]
+    fn text(&mut self, _: Key, x: Slot<'_, String>) -> Visit<Self> {
+        put_str(&mut self.0, x.value());
+        Ok(())
     }
-}
 
-const T_EXIT: u8 = 0;
-const T_JMP: u8 = 1;
-const T_CONDJMP: u8 = 2;
-const T_INDIRECTJMP: u8 = 3;
-const T_CALL: u8 = 4;
-const T_RET: u8 = 5;
+    #[inline]
+    fn blob(&mut self, _: Key, x: Slot<'_, Vec<u8>>) -> Visit<Self> {
+        put_bytes(&mut self.0, x.value());
+        Ok(())
+    }
 
-fn enc_terminator(out: &mut Vec<u8>, t: &Terminator) {
-    match t {
-        Terminator::Exit => out.push(T_EXIT),
-        Terminator::Jmp { target } => {
-            out.push(T_JMP);
-            put_varint(out, target.0 as u64);
-        }
-        Terminator::CondJmp { cond, taken, not_taken } => {
-            out.push(T_CONDJMP);
-            enc_cond(out, *cond);
-            put_varint(out, taken.0 as u64);
-            put_varint(out, not_taken.0 as u64);
-        }
-        Terminator::IndirectJmp { src, table } => {
-            out.push(T_INDIRECTJMP);
-            enc_reg(out, *src);
-            put_varint(out, table.len() as u64);
-            for b in table {
-                put_varint(out, b.0 as u64);
+    #[inline]
+    fn label<E: WireEnum>(&mut self, _: Key, x: Slot<'_, E>) -> Visit<Self> {
+        self.0.push(x.value().index() as u8);
+        Ok(())
+    }
+
+    #[inline]
+    fn variant(&mut self, _: Key, _: &'static [&'static str], tag: Slot<'_, u8>) -> Visit<Self> {
+        self.0.push(*tag.value());
+        Ok(())
+    }
+
+    #[inline]
+    fn bitset<E: WireEnum + Ord>(&mut self, _: Key, x: Slot<'_, BTreeSet<E>>) -> Visit<Self> {
+        self.0.push(x.value().iter().fold(0u8, |mask, e| mask | 1 << e.index()));
+        Ok(())
+    }
+
+    #[inline]
+    fn record<T: Wire>(&mut self, _: Key, x: Slot<'_, T>) -> Visit<Self> {
+        T::wire(self, x)
+    }
+
+    #[inline]
+    fn option<T: Blank>(
+        &mut self,
+        key: Key,
+        x: Slot<'_, Option<T>>,
+        some: impl FnOnce(&mut Self, Key, Slot<'_, T>) -> Visit<Self>,
+    ) -> Visit<Self> {
+        match x.value() {
+            None => {
+                self.0.push(0);
+                Ok(())
             }
-        }
-        Terminator::Call { target, return_to } => {
-            out.push(T_CALL);
-            put_varint(out, target.0 as u64);
-            put_varint(out, return_to.0 as u64);
-        }
-        Terminator::Ret => out.push(T_RET),
-    }
-}
-
-fn dec_terminator(r: &mut Reader) -> Result<Terminator, DecodeError> {
-    match r.u8()? {
-        T_EXIT => Ok(Terminator::Exit),
-        T_JMP => Ok(Terminator::Jmp { target: BlockId(r.int()?) }),
-        T_CONDJMP => Ok(Terminator::CondJmp {
-            cond: dec_cond(r)?,
-            taken: BlockId(r.int()?),
-            not_taken: BlockId(r.int()?),
-        }),
-        T_INDIRECTJMP => {
-            let src = dec_reg(r)?;
-            let n = r.count()?;
-            let mut table = Vec::with_capacity(n);
-            for _ in 0..n {
-                table.push(BlockId(r.int()?));
-            }
-            Ok(Terminator::IndirectJmp { src, table })
-        }
-        T_CALL => Ok(Terminator::Call {
-            target: BlockId(r.int()?),
-            return_to: BlockId(r.int()?),
-        }),
-        T_RET => Ok(Terminator::Ret),
-        t => Err(format!("invalid terminator tag {t:#04x}")),
-    }
-}
-
-fn enc_sandbox(out: &mut Vec<u8>, s: &SandboxLayout) {
-    put_u64_le(out, s.base);
-    put_varint(out, s.data_pages);
-    match s.assist_page {
-        None => out.push(0),
-        Some(p) => {
-            out.push(1);
-            put_u64_le(out, p);
-        }
-    }
-    put_varint(out, s.line_offset);
-}
-
-fn dec_sandbox(r: &mut Reader) -> Result<SandboxLayout, DecodeError> {
-    let base = r.u64_le()?;
-    let data_pages = r.varint()?;
-    let assist_page = match r.u8()? {
-        0 => None,
-        1 => Some(r.u64_le()?),
-        b => return Err(format!("invalid option byte {b:#04x} for assist_page")),
-    };
-    Ok(SandboxLayout { base, data_pages, assist_page, line_offset: r.varint()? })
-}
-
-/// Encode a test case: sandbox, origin, then each block's varint-packed
-/// instruction stream.
-pub fn enc_test_case(out: &mut Vec<u8>, tc: &TestCase) {
-    enc_sandbox(out, &tc.sandbox());
-    put_str(out, tc.origin());
-    put_varint(out, tc.blocks().len() as u64);
-    for b in tc.blocks() {
-        put_varint(out, b.id.0 as u64);
-        match &b.label {
-            None => out.push(0),
-            Some(label) => {
-                out.push(1);
-                put_str(out, label);
-            }
-        }
-        put_varint(out, b.instrs.len() as u64);
-        for i in &b.instrs {
-            enc_instr(out, i);
-        }
-        enc_terminator(out, &b.terminator);
-    }
-}
-
-/// Decode a test case written by [`enc_test_case`].
-pub fn dec_test_case(r: &mut Reader) -> Result<TestCase, DecodeError> {
-    let sandbox = dec_sandbox(r)?;
-    let origin = r.str_()?;
-    let nblocks = r.count()?;
-    let mut blocks = Vec::with_capacity(nblocks);
-    for _ in 0..nblocks {
-        let id = BlockId(r.int()?);
-        let label = match r.u8()? {
-            0 => None,
-            1 => Some(r.str_()?),
-            b => return Err(format!("invalid option byte {b:#04x} for block label")),
-        };
-        let ninstrs = r.count()?;
-        let mut instrs = Vec::with_capacity(ninstrs);
-        for _ in 0..ninstrs {
-            instrs.push(dec_instr(r)?);
-        }
-        blocks.push(BasicBlock { id, label, instrs, terminator: dec_terminator(r)? });
-    }
-    Ok(TestCase::new(blocks, sandbox).with_origin(origin))
-}
-
-fn enc_input(out: &mut Vec<u8>, input: &Input) {
-    for reg in &input.regs {
-        put_u64_le(out, *reg);
-    }
-    out.push(input.flags.bits());
-    put_bytes(out, &input.mem);
-    put_u64_le(out, input.seed_id);
-}
-
-fn dec_input(r: &mut Reader) -> Result<Input, DecodeError> {
-    let mut regs = [0u64; 16];
-    for reg in &mut regs {
-        *reg = r.u64_le()?;
-    }
-    let flags = FlagSet::from_bits(r.u8()?);
-    Ok(Input { regs, flags, mem: r.bytes()?, seed_id: r.u64_le()? })
-}
-
-fn enc_htrace(out: &mut Vec<u8>, t: &HTrace) {
-    put_u64_le(out, t.sets().bits());
-    out.extend_from_slice(&t.samples().to_le_bytes());
-}
-
-fn dec_htrace(r: &mut Reader) -> Result<HTrace, DecodeError> {
-    let sets = SetVector::from_bits(r.u64_le()?);
-    Ok(HTrace::from_parts(sets, r.u32_le()?))
-}
-
-fn enc_violation(out: &mut Vec<u8>, v: &Violation) {
-    put_varint(out, v.input_a as u64);
-    put_varint(out, v.input_b as u64);
-    enc_htrace(out, &v.htrace_a);
-    enc_htrace(out, &v.htrace_b);
-    put_u64_le(out, v.ctrace_digest);
-}
-
-fn dec_violation(r: &mut Reader) -> Result<Violation, DecodeError> {
-    Ok(Violation {
-        input_a: r.int()?,
-        input_b: r.int()?,
-        htrace_a: dec_htrace(r)?,
-        htrace_b: dec_htrace(r)?,
-        ctrace_digest: r.u64_le()?,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Contract / report payload codecs.
-
-const OBSERVATIONS: [ObservationClause; 3] =
-    [ObservationClause::Mem, ObservationClause::Ct, ObservationClause::Arch];
-const EXECUTIONS: [ExecutionClause; 4] = [
-    ExecutionClause::Seq,
-    ExecutionClause::Cond,
-    ExecutionClause::Bpas,
-    ExecutionClause::CondBpas,
-];
-// The array index is the wire tag: new classes must be appended at the end
-// so frames written by older builds keep decoding to the same class.
-const VULN_CLASSES: [VulnClass; 10] = [
-    VulnClass::SpectreV1,
-    VulnClass::SpectreV1Var,
-    VulnClass::SpectreV4,
-    VulnClass::SpectreV4Var,
-    VulnClass::Mds,
-    VulnClass::LviNull,
-    VulnClass::SpeculativeStoreEviction,
-    VulnClass::Unknown,
-    VulnClass::SpectreV2,
-    VulnClass::SpectreV5Ret,
-];
-const SOURCE_KINDS: [SourceKind; 6] = [
-    SourceKind::CondBranch,
-    SourceKind::IndirectBranch,
-    SourceKind::Return,
-    SourceKind::StoreBypass,
-    SourceKind::AssistLoad,
-    SourceKind::VarLatency,
-];
-const TRANSMITTER_KINDS: [TransmitterKind; 2] = [TransmitterKind::Load, TransmitterKind::Store];
-
-fn enc_contract(out: &mut Vec<u8>, c: &Contract) {
-    out.push(enum_idx(&OBSERVATIONS, c.observation));
-    out.push(enum_idx(&EXECUTIONS, c.execution));
-    put_varint(out, c.speculation_window as u64);
-    put_bool(out, c.nested_speculation);
-    put_bool(out, c.expose_speculative_stores);
-}
-
-fn dec_contract(r: &mut Reader) -> Result<Contract, DecodeError> {
-    let observation = {
-        let idx = r.u8()?;
-        enum_at(&OBSERVATIONS, idx, "observation clause")?
-    };
-    let execution = {
-        let idx = r.u8()?;
-        enum_at(&EXECUTIONS, idx, "execution clause")?
-    };
-    Ok(Contract {
-        observation,
-        execution,
-        speculation_window: r.int()?,
-        nested_speculation: r.bool()?,
-        expose_speculative_stores: r.bool()?,
-    })
-}
-
-fn enc_gadget_signature(out: &mut Vec<u8>, g: &GadgetSignature) {
-    out.push(enum_idx(&SOURCE_KINDS, g.source));
-    out.push(enum_idx(&TRANSMITTER_KINDS, g.transmitter));
-    put_bool(out, g.through_load);
-    put_bool(out, g.var_latency);
-}
-
-fn dec_gadget_signature(r: &mut Reader) -> Result<GadgetSignature, DecodeError> {
-    let source = {
-        let idx = r.u8()?;
-        enum_at(&SOURCE_KINDS, idx, "source kind")?
-    };
-    let transmitter = {
-        let idx = r.u8()?;
-        enum_at(&TRANSMITTER_KINDS, idx, "transmitter kind")?
-    };
-    Ok(GadgetSignature {
-        source,
-        transmitter,
-        through_load: r.bool()?,
-        var_latency: r.bool()?,
-    })
-}
-
-fn enc_effectiveness(out: &mut Vec<u8>, e: &EffectivenessStats) {
-    put_varint(out, e.total_inputs as u64);
-    put_varint(out, e.effective_inputs as u64);
-    put_varint(out, e.classes as u64);
-    put_varint(out, e.singleton_classes as u64);
-}
-
-fn dec_effectiveness(r: &mut Reader) -> Result<EffectivenessStats, DecodeError> {
-    Ok(EffectivenessStats {
-        total_inputs: r.int()?,
-        effective_inputs: r.int()?,
-        classes: r.int()?,
-        singleton_classes: r.int()?,
-    })
-}
-
-fn enc_duration(out: &mut Vec<u8>, d: Duration) {
-    put_varint(out, d.as_nanos().min(u128::from(u64::MAX)) as u64);
-}
-
-fn dec_duration(r: &mut Reader) -> Result<Duration, DecodeError> {
-    Ok(Duration::from_nanos(r.varint()?))
-}
-
-/// Encode a [`ViolationReport`] payload.
-pub fn enc_violation_report(out: &mut Vec<u8>, report: &ViolationReport) {
-    enc_test_case(out, &report.test_case);
-    put_varint(out, report.inputs.len() as u64);
-    for input in &report.inputs {
-        enc_input(out, input);
-    }
-    enc_violation(out, &report.violation);
-    enc_contract(out, &report.contract);
-    put_u64_le(out, report.test_case_seed);
-    out.push(enum_idx(&VULN_CLASSES, report.vulnerability));
-    match &report.gadget {
-        None => out.push(0),
-        Some(g) => {
-            out.push(1);
-            enc_gadget_signature(out, g);
-        }
-    }
-    put_varint(out, report.test_cases_until_detection as u64);
-    put_varint(out, report.inputs_until_detection as u64);
-}
-
-/// Decode a report written by [`enc_violation_report`].
-pub fn dec_violation_report(r: &mut Reader) -> Result<ViolationReport, DecodeError> {
-    let test_case = dec_test_case(r)?;
-    let n = r.count()?;
-    let mut inputs = Vec::with_capacity(n);
-    for _ in 0..n {
-        inputs.push(dec_input(r)?);
-    }
-    let violation = dec_violation(r)?;
-    let contract = dec_contract(r)?;
-    let test_case_seed = r.u64_le()?;
-    let vulnerability = {
-        let idx = r.u8()?;
-        enum_at(&VULN_CLASSES, idx, "vulnerability class")?
-    };
-    let gadget = match r.u8()? {
-        0 => None,
-        1 => Some(dec_gadget_signature(r)?),
-        b => return Err(format!("invalid option byte {b:#04x} for gadget")),
-    };
-    Ok(ViolationReport {
-        test_case,
-        inputs,
-        violation,
-        contract,
-        test_case_seed,
-        vulnerability,
-        gadget,
-        test_cases_until_detection: r.int()?,
-        inputs_until_detection: r.int()?,
-    })
-}
-
-fn enc_coverage(out: &mut Vec<u8>, c: &PatternCoverage) {
-    // The 8 patterns pack into one bitmask byte; pairs are index pairs.
-    let mut mask = 0u8;
-    for p in c.covered() {
-        mask |= 1 << enum_idx(&Pattern::ALL, *p);
-    }
-    out.push(mask);
-    let pairs = c.covered_pairs();
-    put_varint(out, pairs.len() as u64);
-    for (a, b) in pairs {
-        out.push(enum_idx(&Pattern::ALL, *a));
-        out.push(enum_idx(&Pattern::ALL, *b));
-    }
-}
-
-fn dec_coverage(r: &mut Reader) -> Result<PatternCoverage, DecodeError> {
-    let mask = r.u8()?;
-    let mut covered = BTreeSet::new();
-    for (i, p) in Pattern::ALL.into_iter().enumerate() {
-        if mask & (1 << i) != 0 {
-            covered.insert(p);
-        }
-    }
-    let n = r.count()?;
-    let mut pairs = BTreeSet::new();
-    for _ in 0..n {
-        let a = {
-            let idx = r.u8()?;
-            enum_at(&Pattern::ALL, idx, "pattern")?
-        };
-        let b = {
-            let idx = r.u8()?;
-            enum_at(&Pattern::ALL, idx, "pattern")?
-        };
-        pairs.insert((a, b));
-    }
-    Ok(PatternCoverage::from_parts(covered, pairs))
-}
-
-fn enc_cell_progress(out: &mut Vec<u8>, c: &CellProgress) {
-    match &c.violation {
-        None => out.push(0),
-        Some(report) => {
-            out.push(1);
-            enc_violation_report(out, report);
-        }
-    }
-    put_varint(out, c.test_cases as u64);
-    put_varint(out, c.filtered as u64);
-    put_varint(out, c.total_inputs as u64);
-    enc_effectiveness(out, &c.effectiveness);
-    enc_duration(out, c.detection_time);
-}
-
-fn dec_cell_progress(r: &mut Reader) -> Result<CellProgress, DecodeError> {
-    let violation = match r.u8()? {
-        0 => None,
-        1 => Some(dec_violation_report(r)?),
-        b => return Err(format!("invalid option byte {b:#04x} for cell violation")),
-    };
-    Ok(CellProgress {
-        violation,
-        test_cases: r.int()?,
-        filtered: r.int()?,
-        total_inputs: r.int()?,
-        effectiveness: dec_effectiveness(r)?,
-        detection_time: dec_duration(r)?,
-    })
-}
-
-fn enc_group_progress(out: &mut Vec<u8>, g: &GroupProgress) {
-    out.push(g.target_id);
-    put_varint(out, g.next_index as u64);
-    put_varint(out, g.test_cases as u64);
-    put_varint(out, g.filtered as u64);
-    put_varint(out, g.total_inputs as u64);
-    put_varint(out, g.effectiveness.len() as u64);
-    for e in &g.effectiveness {
-        enc_effectiveness(out, e);
-    }
-    put_varint(out, g.round as u64);
-    enc_duration(out, g.work);
-    put_varint(out, g.escalations as u64);
-    put_varint(out, g.coverage_level as u64);
-    put_bool(out, g.round_improved);
-    enc_coverage(out, &g.coverage);
-}
-
-fn dec_group_progress(r: &mut Reader) -> Result<GroupProgress, DecodeError> {
-    let target_id = r.u8()?;
-    let next_index = r.int()?;
-    let test_cases = r.int()?;
-    let filtered = r.int()?;
-    let total_inputs = r.int()?;
-    let n = r.count()?;
-    let mut effectiveness = Vec::with_capacity(n);
-    for _ in 0..n {
-        effectiveness.push(dec_effectiveness(r)?);
-    }
-    Ok(GroupProgress {
-        target_id,
-        next_index,
-        test_cases,
-        filtered,
-        total_inputs,
-        effectiveness,
-        round: r.int()?,
-        work: dec_duration(r)?,
-        escalations: r.int()?,
-        coverage_level: r.int()?,
-        round_improved: r.bool()?,
-        coverage: dec_coverage(r)?,
-    })
-}
-
-/// Encode a [`MatrixCheckpoint`] payload (no frame header — see
-/// [`matrix_checkpoint_to_binary`] for the framed form).
-pub fn enc_checkpoint(out: &mut Vec<u8>, cp: &MatrixCheckpoint) {
-    put_varint(out, cp.wave as u64);
-    put_u64_le(out, cp.seed);
-    put_varint(out, cp.budget as u64);
-    put_varint(out, cp.round_size as u64);
-    put_bool(out, cp.escalation);
-    put_u64_le(out, cp.config_digest);
-    put_varint(out, cp.cells.len() as u64);
-    for cell in &cp.cells {
-        match cell {
-            None => out.push(0),
-            Some(c) => {
-                out.push(1);
-                enc_cell_progress(out, c);
+            Some(v) => {
+                self.0.push(1);
+                some(self, key, Slot::Read(v))
             }
         }
     }
-    put_varint(out, cp.groups.len() as u64);
-    for g in &cp.groups {
-        enc_group_progress(out, g);
+
+    #[inline]
+    fn list<T: Blank>(
+        &mut self,
+        _: Key,
+        x: Slot<'_, Vec<T>>,
+        mut elem: impl FnMut(&mut Self, Key, Slot<'_, T>) -> Visit<Self>,
+    ) -> Visit<Self> {
+        let items = x.value();
+        put_varint(&mut self.0, items.len() as u64);
+        items.iter().try_for_each(|item| elem(self, "", Slot::Read(item)))
+    }
+
+    #[inline]
+    fn array<T, const N: usize>(
+        &mut self,
+        _: Key,
+        x: Slot<'_, [T; N]>,
+        mut elem: impl FnMut(&mut Self, Key, Slot<'_, T>) -> Visit<Self>,
+    ) -> Visit<Self> {
+        x.value().iter().try_for_each(|item| elem(self, "", Slot::Read(item)))
     }
 }
 
-/// Decode a checkpoint written by [`enc_checkpoint`].
-pub fn dec_checkpoint(r: &mut Reader) -> Result<MatrixCheckpoint, DecodeError> {
-    let wave = r.int()?;
-    let seed = r.u64_le()?;
-    let budget = r.int()?;
-    let round_size = r.int()?;
-    let escalation = r.bool()?;
-    let config_digest = r.u64_le()?;
-    let ncells = r.count()?;
-    let mut cells = Vec::with_capacity(ncells);
-    for _ in 0..ncells {
-        cells.push(match r.u8()? {
-            0 => None,
-            1 => Some(dec_cell_progress(r)?),
-            b => return Err(format!("invalid option byte {b:#04x} for cell")),
-        });
+/// The binary decoder: bounds-checked reads from one [`Reader`].
+struct BinIn<'a>(Reader<'a>);
+
+impl Visitor for BinIn<'_> {
+    type Error = DecodeError;
+    const DECODES: bool = true;
+    const KEYED: bool = false;
+
+    #[inline]
+    fn count<N: Int>(&mut self, _: Key, x: Slot<'_, N>) -> Visit<Self> {
+        let v = self.0.varint()?;
+        *x.place() = N::from_u64(v).ok_or_else(|| format!("integer {v} out of range"))?;
+        Ok(())
     }
-    let ngroups = r.count()?;
-    let mut groups = Vec::with_capacity(ngroups);
-    for _ in 0..ngroups {
-        groups.push(dec_group_progress(r)?);
+
+    #[inline]
+    fn word<N: Int>(&mut self, _: Key, x: Slot<'_, N>) -> Visit<Self> {
+        let mut le = [0u8; 8];
+        le[..N::BYTES].copy_from_slice(self.0.take(N::BYTES)?);
+        let v = u64::from_le_bytes(le);
+        *x.place() = N::from_u64(v).ok_or_else(|| format!("word {v:#x} out of range"))?;
+        Ok(())
     }
-    Ok(MatrixCheckpoint {
-        wave,
-        seed,
-        budget,
-        round_size,
-        escalation,
-        config_digest,
-        cells,
-        groups,
-    })
+
+    #[inline]
+    fn flag(&mut self, _: Key, x: Slot<'_, bool>) -> Visit<Self> {
+        *x.place() = self.0.bool()?;
+        Ok(())
+    }
+
+    #[inline]
+    fn signed(&mut self, _: Key, x: Slot<'_, i64>) -> Visit<Self> {
+        *x.place() = self.0.zigzag()?;
+        Ok(())
+    }
+
+    #[inline]
+    fn text(&mut self, _: Key, x: Slot<'_, String>) -> Visit<Self> {
+        *x.place() = self.0.str_()?;
+        Ok(())
+    }
+
+    #[inline]
+    fn blob(&mut self, _: Key, x: Slot<'_, Vec<u8>>) -> Visit<Self> {
+        *x.place() = self.0.bytes()?;
+        Ok(())
+    }
+
+    #[inline]
+    fn label<E: WireEnum>(&mut self, key: Key, x: Slot<'_, E>) -> Visit<Self> {
+        let idx = self.0.u8()?;
+        *x.place() = *E::ALL
+            .get(usize::from(idx))
+            .ok_or_else(|| format!("invalid `{key}` index {idx}"))?;
+        Ok(())
+    }
+
+    #[inline]
+    fn variant(
+        &mut self,
+        key: Key,
+        labels: &'static [&'static str],
+        tag: Slot<'_, u8>,
+    ) -> Visit<Self> {
+        let t = self.0.u8()?;
+        if usize::from(t) >= labels.len() {
+            return Err(format!("invalid `{key}` tag {t:#04x}"));
+        }
+        *tag.place() = t;
+        Ok(())
+    }
+
+    #[inline]
+    fn bitset<E: WireEnum + Ord>(&mut self, _: Key, x: Slot<'_, BTreeSet<E>>) -> Visit<Self> {
+        let mask = self.0.u8()?;
+        *x.place() = E::ALL.iter().copied().filter(|e| mask & 1 << e.index() != 0).collect();
+        Ok(())
+    }
+
+    #[inline]
+    fn record<T: Wire>(&mut self, _: Key, x: Slot<'_, T>) -> Visit<Self> {
+        T::wire(self, x)
+    }
+
+    #[inline]
+    fn option<T: Blank>(
+        &mut self,
+        key: Key,
+        x: Slot<'_, Option<T>>,
+        some: impl FnOnce(&mut Self, Key, Slot<'_, T>) -> Visit<Self>,
+    ) -> Visit<Self> {
+        let place = x.place();
+        match self.0.u8()? {
+            0 => {
+                *place = None;
+                Ok(())
+            }
+            1 => some(self, key, Slot::Fill(place.insert(T::blank()))),
+            b => Err(format!("invalid option byte {b:#04x} for `{key}`")),
+        }
+    }
+
+    #[inline]
+    fn list<T: Blank>(
+        &mut self,
+        _: Key,
+        x: Slot<'_, Vec<T>>,
+        mut elem: impl FnMut(&mut Self, Key, Slot<'_, T>) -> Visit<Self>,
+    ) -> Visit<Self> {
+        let n = self.0.count()?;
+        let list = x.place();
+        list.clear();
+        list.reserve(n);
+        for _ in 0..n {
+            let mut value = T::blank();
+            elem(self, "", Slot::Fill(&mut value))?;
+            list.push(value);
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn array<T, const N: usize>(
+        &mut self,
+        _: Key,
+        x: Slot<'_, [T; N]>,
+        mut elem: impl FnMut(&mut Self, Key, Slot<'_, T>) -> Visit<Self>,
+    ) -> Visit<Self> {
+        x.place().iter_mut().try_for_each(|slot| elem(self, "", Slot::Fill(slot)))
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Framed top-level codecs (what the service and spool actually move).
 
-/// Serialize a checkpoint as one self-describing frame.
+/// Encode a checkpoint as one self-describing frame.
 pub fn matrix_checkpoint_to_binary(cp: &MatrixCheckpoint) -> Vec<u8> {
     FrameBuilder::new(KIND_CHECKPOINT).checkpoint_section(TAG_CHECKPOINT, cp).build()
 }
@@ -1365,10 +889,10 @@ pub fn matrix_checkpoint_from_binary(buf: &[u8]) -> Result<MatrixCheckpoint, Dec
     frame.checkpoint_section(TAG_CHECKPOINT, "checkpoint")
 }
 
-/// Serialize a violation report as one self-describing frame.
+/// Encode a violation report as one self-describing frame.
 pub fn violation_report_to_binary(report: &ViolationReport) -> Vec<u8> {
     let mut payload = Vec::new();
-    enc_violation_report(&mut payload, report);
+    encode(&mut payload, report);
     FrameBuilder::new(KIND_REPORT).section(TAG_REPORT, payload).build()
 }
 
@@ -1378,11 +902,10 @@ pub fn violation_report_from_binary(buf: &[u8]) -> Result<ViolationReport, Decod
     if frame.kind != KIND_REPORT {
         return Err(format!("expected a report frame, found kind {}", frame.kind));
     }
-    let mut r = Reader::new(frame.section(TAG_REPORT).ok_or("frame is missing its report section")?);
-    dec_violation_report(&mut r)
+    decode(&mut Reader::new(frame.need(TAG_REPORT, "report")?))
 }
 
-/// Serialize one checkpoint transfer — the payload a worker host streams
+/// Encode one checkpoint transfer — the payload a worker host streams
 /// to the coordinator after every wave — as a binary frame: the digest is
 /// computed **before** encoding for end-to-end replication validation,
 /// `meta` carries the service's routing fields (op, target, lease,
@@ -1435,6 +958,7 @@ mod tests {
     use revizor::campaign::NoopObserver;
     use revizor::orchestrator::CampaignMatrix;
     use revizor::targets::Target;
+    use rvz_model::Contract;
 
     fn mid_run_checkpoint() -> MatrixCheckpoint {
         let matrix = CampaignMatrix::new(7)

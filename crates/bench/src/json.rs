@@ -1,12 +1,12 @@
 //! A small hand-rolled JSON tree, writer and parser.
 //!
-//! The vendored `serde` stand-ins have no-op derives (the build environment
-//! is offline), so machine-readable output from the table binaries is built
-//! explicitly through this module: construct a [`Json`] tree, [`Json::render`]
-//! it.  The parser exists so that smoke tests (and CI) can validate that
-//! emitted documents round-trip; it accepts exactly the subset the writer
-//! produces (objects, arrays, strings with `\uXXXX` escapes, finite
-//! numbers, booleans, null).
+//! The workspace has no serialization dependency: machine-readable output
+//! is built explicitly through this module — construct a [`Json`] tree,
+//! [`Json::render`] it — and the wire types reach it through
+//! [`crate::report::to_json`].  The parser reads the wire documents back
+//! and lets smoke tests (and CI) validate that emitted documents
+//! round-trip; it accepts exactly the subset the writer produces (objects,
+//! arrays, strings with `\uXXXX` escapes, finite numbers, booleans, null).
 
 use std::fmt;
 

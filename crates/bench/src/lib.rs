@@ -27,9 +27,10 @@
 pub mod binfmt;
 pub mod json;
 pub mod report;
+pub mod wire;
 
 use json::Json;
-use report::effectiveness_stats_to_json;
+use report::to_json;
 use revizor::orchestrator::MatrixReport;
 use std::time::Duration;
 
@@ -119,7 +120,7 @@ pub fn matrix_report_json(report: &MatrixReport, budget: usize) -> Json {
                 )
                 .field("test_cases", cell.test_cases)
                 .field("statically_filtered", cell.filtered)
-                .field("effectiveness", effectiveness_stats_to_json(&cell.effectiveness))
+                .field("effectiveness", to_json(&cell.effectiveness))
                 .field("duration_ms", cell.detection_time.as_secs_f64() * 1000.0)
                 .field("seed", report.seed)
                 .field(

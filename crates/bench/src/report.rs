@@ -1,14 +1,15 @@
-//! Registry-free JSON export/import of fuzzing reports.
+//! The JSON backend of the wire descriptions, plus the output-only result
+//! documents.
 //!
-//! The vendored `serde` stand-ins have no-op derives, so the `Serialize`
-//! attributes sprinkled over the workspace never produced a wire format.
-//! This module is the real serialization seam: explicit `to_json` /
-//! `from_json` codecs for [`ViolationReport`] and [`FuzzReport`] (and every
-//! structure they embed, down to instructions and inputs), built on
-//! [`crate::json`].  The schema is also the result payload of the campaign
-//! service (`rvz-service`), and [`matrix_checkpoint_*`] is its spool format.
+//! Every wire type is described once, in [`crate::wire`]; [`to_json`] and
+//! [`from_json`] run those descriptions through this module's JSON encoder
+//! and decoder, and [`crate::binfmt`] runs the same descriptions through its
+//! binary encoder and decoder.  JSON is the debug and interop form: the
+//! client-port wire format, the result payload of the campaign service
+//! (`rvz-service`) and the form reports are exported in.
 //!
-//! Design rules:
+//! Document rules (fixed by the visitor methods, see the table in
+//! [`crate::wire`]):
 //!
 //! * `u64` values (campaign seeds, sandbox addresses, ctrace digests) are
 //!   written as [`Json::UInt`] and therefore survive exactly — no `f64`
@@ -20,73 +21,16 @@
 //!   it never panics on malformed documents.
 
 use crate::json::Json;
-use revizor::diversity::{Pattern, PatternCoverage};
+use crate::wire::{
+    decode_with, encode_with, Blank, Int, Key, Slot, Visit, Visitor, Wire, WireEnum,
+};
 use revizor::fuzzer::{FuzzReport, ViolationReport};
-use revizor::staticanalysis::{GadgetSignature, SourceKind, TransmitterKind};
-use revizor::VulnClass;
-use rvz_analyzer::{EffectivenessStats, Violation};
-use rvz_cache::SetVector;
-use rvz_executor::HTrace;
-use rvz_isa::{
-    AluOp, BasicBlock, BlockId, Cond, FlagSet, Input, Instr, MemOperand, Operand, Reg,
-    SandboxLayout, ShiftOp, Terminator, TestCase, UnaryOp, Width,
-};
-use rvz_model::{Contract, ExecutionClause, ObservationClause};
+use revizor::orchestrator::{CellReport, MatrixCheckpoint, MatrixReport};
+use rvz_model::Contract;
 use std::collections::BTreeSet;
-use std::time::Duration;
+use std::convert::Infallible;
 
-/// Decoding errors are human-readable path + message strings.
-pub type DecodeError = String;
-
-// The compact binary forms of the same structures (length-prefixed frames
-// with a format-version byte; see `crate::binfmt` for the layout).  JSON
-// stays the debug/interop form — these are the hot-path codecs the
-// campaign service's worker wire and spool use.
-pub use crate::binfmt::{
-    checkpoint_transfer_from_binary, checkpoint_transfer_to_binary, matrix_checkpoint_from_binary,
-    matrix_checkpoint_to_binary, violation_report_from_binary, violation_report_to_binary,
-    BinaryTransfer, FORMAT_VERSION as BINARY_FORMAT_VERSION,
-};
-
-// ---------------------------------------------------------------------------
-// Small shared accessors.
-
-fn get<'a>(v: &'a Json, key: &str) -> Result<&'a Json, DecodeError> {
-    v.get(key).ok_or_else(|| format!("missing field `{key}`"))
-}
-
-fn get_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, DecodeError> {
-    get(v, key)?.as_str().ok_or_else(|| format!("field `{key}` is not a string"))
-}
-
-fn get_u64(v: &Json, key: &str) -> Result<u64, DecodeError> {
-    get(v, key)?.as_u64().ok_or_else(|| format!("field `{key}` is not an integer"))
-}
-
-fn get_usize(v: &Json, key: &str) -> Result<usize, DecodeError> {
-    Ok(get_u64(v, key)? as usize)
-}
-
-fn get_bool(v: &Json, key: &str) -> Result<bool, DecodeError> {
-    get(v, key)?.as_bool().ok_or_else(|| format!("field `{key}` is not a boolean"))
-}
-
-fn get_f64(v: &Json, key: &str) -> Result<f64, DecodeError> {
-    get(v, key)?.as_f64().ok_or_else(|| format!("field `{key}` is not a number"))
-}
-
-fn get_arr<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], DecodeError> {
-    get(v, key)?.as_array().ok_or_else(|| format!("field `{key}` is not an array"))
-}
-
-fn get_int<T: TryFrom<u64>>(v: &Json, key: &str) -> Result<T, DecodeError> {
-    let n = get_u64(v, key)?;
-    T::try_from(n).map_err(|_| format!("field `{key}` value {n} is out of range"))
-}
-
-fn in_field<T>(key: &str, r: Result<T, DecodeError>) -> Result<T, DecodeError> {
-    r.map_err(|e| format!("{key}: {e}"))
-}
+pub use crate::wire::DecodeError;
 
 /// Exact `i64` codec: non-negative values ride the exact `UInt` channel;
 /// negatives are written as plain JSON numbers while exactly
@@ -133,474 +77,357 @@ pub fn i64_from_json(v: &Json) -> Result<i64, DecodeError> {
     Err("expected an integer (or {\"neg\": magnitude})".to_string())
 }
 
-fn duration_to_json(d: Duration) -> Json {
-    Json::UInt(d.as_nanos().min(u128::from(u64::MAX)) as u64)
-}
-
-fn duration_from_json(v: &Json) -> Result<Duration, DecodeError> {
-    v.as_u64().map(Duration::from_nanos).ok_or_else(|| "duration is not an integer".to_string())
-}
-
 // ---------------------------------------------------------------------------
-// ISA-level codecs.
+// The JSON backend.
 
-fn reg_to_json(r: Reg) -> Json {
-    Json::Str(r.name(Width::Qword))
+/// Encode any wire type as a JSON object.
+pub fn to_json<T: Wire>(x: &T) -> Json {
+    let mut out = JsonOut::default();
+    encode_with(&mut out, x);
+    Json::Obj(out.0)
 }
 
-fn reg_from_json(v: &Json) -> Result<Reg, DecodeError> {
-    let name = v.as_str().ok_or("register is not a string")?;
-    Reg::ALL
-        .into_iter()
-        .find(|r| r.name(Width::Qword) == name)
-        .ok_or_else(|| format!("unknown register `{name}`"))
+/// Decode a wire type written by [`to_json`].
+///
+/// # Errors
+/// Returns a path-qualified message for any missing or malformed field.
+pub fn from_json<T: Wire>(doc: &Json) -> Result<T, DecodeError> {
+    decode_with(&mut JsonIn(doc))
 }
 
-fn width_label(w: Width) -> &'static str {
-    match w {
-        Width::Byte => "byte",
-        Width::Word => "word",
-        Width::Dword => "dword",
-        Width::Qword => "qword",
+/// [`to_json`] of a [`ViolationReport`]: the full counterexample (test
+/// case, inputs, diverging trace pair), the violated contract, the exact
+/// `u64` campaign seed and the detection counters.
+pub fn violation_report_to_json(r: &ViolationReport) -> Json {
+    to_json(r)
+}
+
+/// [`from_json`] of a [`ViolationReport`].
+///
+/// # Errors
+/// See [`from_json`].
+pub fn violation_report_from_json(v: &Json) -> Result<ViolationReport, DecodeError> {
+    from_json(v)
+}
+
+/// [`to_json`] of a [`MatrixCheckpoint`].
+pub fn matrix_checkpoint_to_json(cp: &MatrixCheckpoint) -> Json {
+    to_json(cp)
+}
+
+/// [`from_json`] of a [`MatrixCheckpoint`].
+///
+/// # Errors
+/// See [`from_json`].
+pub fn matrix_checkpoint_from_json(v: &Json) -> Result<MatrixCheckpoint, DecodeError> {
+    from_json(v)
+}
+
+/// The JSON encoder: one object's fields, in visit order.
+#[derive(Default)]
+struct JsonOut(Vec<(String, Json)>);
+
+impl JsonOut {
+    fn put(&mut self, key: Key, value: impl Into<Json>) -> Visit<Self> {
+        self.0.push((key.to_string(), value.into()));
+        Ok(())
     }
-}
 
-fn width_from_label(s: &str) -> Result<Width, DecodeError> {
-    Width::ALL
-        .into_iter()
-        .find(|w| width_label(*w) == s)
-        .ok_or_else(|| format!("unknown width `{s}`"))
-}
-
-fn cond_from_suffix(s: &str) -> Result<Cond, DecodeError> {
-    Cond::ALL
-        .into_iter()
-        .find(|c| c.suffix() == s)
-        .ok_or_else(|| format!("unknown condition code `{s}`"))
-}
-
-fn mem_operand_to_json(m: &MemOperand) -> Json {
-    Json::obj()
-        .field("base", reg_to_json(m.base))
-        .field("index", m.index.map(reg_to_json))
-        .field("scale", u64::from(m.scale))
-        .field("disp", i64_to_json(m.disp))
-}
-
-fn mem_operand_from_json(v: &Json) -> Result<MemOperand, DecodeError> {
-    let index = match get(v, "index")? {
-        Json::Null => None,
-        r => Some(reg_from_json(r)?),
-    };
-    Ok(MemOperand {
-        base: reg_from_json(get(v, "base")?)?,
-        index,
-        scale: get_int(v, "scale")?,
-        disp: in_field("disp", i64_from_json(get(v, "disp")?))?,
-    })
-}
-
-fn operand_to_json(o: &Operand) -> Json {
-    match o {
-        Operand::Reg(r, w) => Json::obj()
-            .field("kind", "reg")
-            .field("reg", reg_to_json(*r))
-            .field("width", width_label(*w)),
-        Operand::Imm(v) => Json::obj().field("kind", "imm").field("value", i64_to_json(*v)),
-        Operand::Mem(m, w) => Json::obj()
-            .field("kind", "mem")
-            .field("mem", mem_operand_to_json(m))
-            .field("width", width_label(*w)),
-    }
-}
-
-fn operand_from_json(v: &Json) -> Result<Operand, DecodeError> {
-    match get_str(v, "kind")? {
-        "reg" => Ok(Operand::Reg(
-            reg_from_json(get(v, "reg")?)?,
-            width_from_label(get_str(v, "width")?)?,
-        )),
-        "imm" => Ok(Operand::Imm(in_field("value", i64_from_json(get(v, "value")?))?)),
-        "mem" => Ok(Operand::Mem(
-            mem_operand_from_json(get(v, "mem")?)?,
-            width_from_label(get_str(v, "width")?)?,
-        )),
-        k => Err(format!("unknown operand kind `{k}`")),
-    }
-}
-
-fn instr_to_json(i: &Instr) -> Json {
-    match i {
-        Instr::Alu { op, dest, src, lock } => Json::obj()
-            .field("op", "alu")
-            .field("alu", op.mnemonic())
-            .field("dest", operand_to_json(dest))
-            .field("src", operand_to_json(src))
-            .field("lock", *lock),
-        Instr::Mov { dest, src } => Json::obj()
-            .field("op", "mov")
-            .field("dest", operand_to_json(dest))
-            .field("src", operand_to_json(src)),
-        Instr::Cmov { cond, dest, src, width } => Json::obj()
-            .field("op", "cmov")
-            .field("cond", cond.suffix())
-            .field("dest", reg_to_json(*dest))
-            .field("src", operand_to_json(src))
-            .field("width", width_label(*width)),
-        Instr::Setcc { cond, dest } => Json::obj()
-            .field("op", "setcc")
-            .field("cond", cond.suffix())
-            .field("dest", reg_to_json(*dest)),
-        Instr::Cmp { a, b } => Json::obj()
-            .field("op", "cmp")
-            .field("a", operand_to_json(a))
-            .field("b", operand_to_json(b)),
-        Instr::Test { a, b } => Json::obj()
-            .field("op", "test")
-            .field("a", operand_to_json(a))
-            .field("b", operand_to_json(b)),
-        Instr::Shift { op, dest, amount } => Json::obj()
-            .field("op", "shift")
-            .field("shift", op.mnemonic())
-            .field("dest", operand_to_json(dest))
-            .field("amount", operand_to_json(amount)),
-        Instr::Unary { op, dest } => Json::obj()
-            .field("op", "unary")
-            .field("unary", op.mnemonic())
-            .field("dest", operand_to_json(dest)),
-        Instr::Div { src } => Json::obj().field("op", "div").field("src", operand_to_json(src)),
-        Instr::Imul { dest, src } => Json::obj()
-            .field("op", "imul")
-            .field("dest", reg_to_json(*dest))
-            .field("src", operand_to_json(src)),
-        Instr::Lea { dest, addr } => Json::obj()
-            .field("op", "lea")
-            .field("dest", reg_to_json(*dest))
-            .field("addr", mem_operand_to_json(addr)),
-        Instr::Bswap { dest } => Json::obj().field("op", "bswap").field("dest", reg_to_json(*dest)),
-        Instr::Xchg { dest, src } => Json::obj()
-            .field("op", "xchg")
-            .field("dest", reg_to_json(*dest))
-            .field("src", operand_to_json(src)),
-        Instr::Lfence => Json::obj().field("op", "lfence"),
-        Instr::Mfence => Json::obj().field("op", "mfence"),
-        Instr::Nop => Json::obj().field("op", "nop"),
-    }
-}
-
-fn instr_from_json(v: &Json) -> Result<Instr, DecodeError> {
-    let op = get_str(v, "op")?;
-    match op {
-        "alu" => {
-            let mn = get_str(v, "alu")?;
-            let alu = AluOp::ALL
-                .into_iter()
-                .find(|a| a.mnemonic() == mn)
-                .ok_or_else(|| format!("unknown ALU op `{mn}`"))?;
-            Ok(Instr::Alu {
-                op: alu,
-                dest: operand_from_json(get(v, "dest")?)?,
-                src: operand_from_json(get(v, "src")?)?,
-                lock: get_bool(v, "lock")?,
-            })
+    /// `items` visited as array elements.
+    fn elements<'a, T: 'a>(
+        items: impl IntoIterator<Item = &'a T>,
+        mut elem: impl FnMut(&mut JsonOut, Key, Slot<'_, T>) -> Visit<JsonOut>,
+    ) -> Json {
+        let mut out = JsonOut::default();
+        for item in items {
+            let Ok(()) = elem(&mut out, "", Slot::Read(item));
         }
-        "mov" => Ok(Instr::Mov {
-            dest: operand_from_json(get(v, "dest")?)?,
-            src: operand_from_json(get(v, "src")?)?,
-        }),
-        "cmov" => Ok(Instr::Cmov {
-            cond: cond_from_suffix(get_str(v, "cond")?)?,
-            dest: reg_from_json(get(v, "dest")?)?,
-            src: operand_from_json(get(v, "src")?)?,
-            width: width_from_label(get_str(v, "width")?)?,
-        }),
-        "setcc" => Ok(Instr::Setcc {
-            cond: cond_from_suffix(get_str(v, "cond")?)?,
-            dest: reg_from_json(get(v, "dest")?)?,
-        }),
-        "cmp" => Ok(Instr::Cmp {
-            a: operand_from_json(get(v, "a")?)?,
-            b: operand_from_json(get(v, "b")?)?,
-        }),
-        "test" => Ok(Instr::Test {
-            a: operand_from_json(get(v, "a")?)?,
-            b: operand_from_json(get(v, "b")?)?,
-        }),
-        "shift" => {
-            let mn = get_str(v, "shift")?;
-            let shift = ShiftOp::ALL
-                .into_iter()
-                .find(|s| s.mnemonic() == mn)
-                .ok_or_else(|| format!("unknown shift op `{mn}`"))?;
-            Ok(Instr::Shift {
-                op: shift,
-                dest: operand_from_json(get(v, "dest")?)?,
-                amount: operand_from_json(get(v, "amount")?)?,
-            })
-        }
-        "unary" => {
-            let mn = get_str(v, "unary")?;
-            let unary = UnaryOp::ALL
-                .into_iter()
-                .find(|u| u.mnemonic() == mn)
-                .ok_or_else(|| format!("unknown unary op `{mn}`"))?;
-            Ok(Instr::Unary { op: unary, dest: operand_from_json(get(v, "dest")?)? })
-        }
-        "div" => Ok(Instr::Div { src: operand_from_json(get(v, "src")?)? }),
-        "imul" => Ok(Instr::Imul {
-            dest: reg_from_json(get(v, "dest")?)?,
-            src: operand_from_json(get(v, "src")?)?,
-        }),
-        "lea" => Ok(Instr::Lea {
-            dest: reg_from_json(get(v, "dest")?)?,
-            addr: mem_operand_from_json(get(v, "addr")?)?,
-        }),
-        "bswap" => Ok(Instr::Bswap { dest: reg_from_json(get(v, "dest")?)? }),
-        "xchg" => Ok(Instr::Xchg {
-            dest: reg_from_json(get(v, "dest")?)?,
-            src: operand_from_json(get(v, "src")?)?,
-        }),
-        "lfence" => Ok(Instr::Lfence),
-        "mfence" => Ok(Instr::Mfence),
-        "nop" => Ok(Instr::Nop),
-        k => Err(format!("unknown instruction op `{k}`")),
+        Json::Arr(out.0.into_iter().map(|(_, v)| v).collect())
     }
 }
 
-fn terminator_to_json(t: &Terminator) -> Json {
-    match t {
-        Terminator::Exit => Json::obj().field("kind", "exit"),
-        Terminator::Jmp { target } => Json::obj().field("kind", "jmp").field("target", target.0),
-        Terminator::CondJmp { cond, taken, not_taken } => Json::obj()
-            .field("kind", "condjmp")
-            .field("cond", cond.suffix())
-            .field("taken", taken.0)
-            .field("not_taken", not_taken.0),
-        Terminator::IndirectJmp { src, table } => Json::obj()
-            .field("kind", "indirectjmp")
-            .field("src", reg_to_json(*src))
-            .field("table", table.iter().map(|b| b.0).collect::<Vec<_>>()),
-        Terminator::Call { target, return_to } => Json::obj()
-            .field("kind", "call")
-            .field("target", target.0)
-            .field("return_to", return_to.0),
-        Terminator::Ret => Json::obj().field("kind", "ret"),
-    }
-}
+impl Visitor for JsonOut {
+    type Error = Infallible;
+    const DECODES: bool = false;
+    const KEYED: bool = true;
 
-fn terminator_from_json(v: &Json) -> Result<Terminator, DecodeError> {
-    match get_str(v, "kind")? {
-        "exit" => Ok(Terminator::Exit),
-        "jmp" => Ok(Terminator::Jmp { target: BlockId(get_usize(v, "target")?) }),
-        "condjmp" => Ok(Terminator::CondJmp {
-            cond: cond_from_suffix(get_str(v, "cond")?)?,
-            taken: BlockId(get_usize(v, "taken")?),
-            not_taken: BlockId(get_usize(v, "not_taken")?),
-        }),
-        "indirectjmp" => {
-            let table = get_arr(v, "table")?
-                .iter()
-                .map(|b| {
-                    b.as_u64()
-                        .map(|n| BlockId(n as usize))
-                        .ok_or_else(|| "jump-table entry is not an integer".to_string())
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Terminator::IndirectJmp { src: reg_from_json(get(v, "src")?)?, table })
+    fn count<N: Int>(&mut self, key: Key, x: Slot<'_, N>) -> Visit<Self> {
+        self.put(key, x.value().to_u64())
+    }
+
+    fn word<N: Int>(&mut self, key: Key, x: Slot<'_, N>) -> Visit<Self> {
+        self.count(key, x)
+    }
+
+    fn flag(&mut self, key: Key, x: Slot<'_, bool>) -> Visit<Self> {
+        self.put(key, *x.value())
+    }
+
+    fn signed(&mut self, key: Key, x: Slot<'_, i64>) -> Visit<Self> {
+        self.put(key, i64_to_json(*x.value()))
+    }
+
+    fn text(&mut self, key: Key, x: Slot<'_, String>) -> Visit<Self> {
+        self.put(key, x.value().as_str())
+    }
+
+    fn blob(&mut self, key: Key, x: Slot<'_, Vec<u8>>) -> Visit<Self> {
+        let bytes = x.value();
+        let mut hex = String::with_capacity(bytes.len() * 2);
+        for byte in bytes {
+            hex.push_str(&format!("{byte:02x}"));
         }
-        "call" => Ok(Terminator::Call {
-            target: BlockId(get_usize(v, "target")?),
-            return_to: BlockId(get_usize(v, "return_to")?),
-        }),
-        "ret" => Ok(Terminator::Ret),
-        k => Err(format!("unknown terminator kind `{k}`")),
+        self.put(key, hex)
+    }
+
+    fn label<E: WireEnum>(&mut self, key: Key, x: Slot<'_, E>) -> Visit<Self> {
+        self.put(key, x.value().label().into_owned())
+    }
+
+    fn variant(
+        &mut self,
+        key: Key,
+        labels: &'static [&'static str],
+        tag: Slot<'_, u8>,
+    ) -> Visit<Self> {
+        self.put(key, labels[usize::from(*tag.value())])
+    }
+
+    fn bitset<E: WireEnum + Ord>(&mut self, key: Key, x: Slot<'_, BTreeSet<E>>) -> Visit<Self> {
+        let labels = x.value().iter().map(|e| Json::Str(e.label().into_owned())).collect();
+        self.put(key, Json::Arr(labels))
+    }
+
+    fn record<T: Wire>(&mut self, key: Key, x: Slot<'_, T>) -> Visit<Self> {
+        let mut out = JsonOut::default();
+        T::wire(&mut out, x)?;
+        self.put(key, Json::Obj(out.0))
+    }
+
+    fn option<T: Blank>(
+        &mut self,
+        key: Key,
+        x: Slot<'_, Option<T>>,
+        some: impl FnOnce(&mut Self, Key, Slot<'_, T>) -> Visit<Self>,
+    ) -> Visit<Self> {
+        match x.value() {
+            None => self.put(key, Json::Null),
+            Some(v) => some(self, key, Slot::Read(v)),
+        }
+    }
+
+    fn list<T: Blank>(
+        &mut self,
+        key: Key,
+        x: Slot<'_, Vec<T>>,
+        elem: impl FnMut(&mut Self, Key, Slot<'_, T>) -> Visit<Self>,
+    ) -> Visit<Self> {
+        self.put(key, JsonOut::elements(x.value(), elem))
+    }
+
+    fn array<T, const N: usize>(
+        &mut self,
+        key: Key,
+        x: Slot<'_, [T; N]>,
+        elem: impl FnMut(&mut Self, Key, Slot<'_, T>) -> Visit<Self>,
+    ) -> Visit<Self> {
+        self.put(key, JsonOut::elements(x.value(), elem))
+    }
+
+    fn note(&mut self, key: Key, value: String) {
+        self.0.push((key.to_string(), Json::Str(value)));
     }
 }
 
-fn sandbox_to_json(s: &SandboxLayout) -> Json {
-    Json::obj()
-        .field("base", s.base)
-        .field("data_pages", s.data_pages)
-        .field("assist_page", s.assist_page)
-        .field("line_offset", s.line_offset)
+/// The JSON decoder over one object (or, for key `""`, one array element).
+struct JsonIn<'a>(&'a Json);
+
+/// How an error names the field at `key`.
+fn what(key: Key) -> String {
+    if key.is_empty() {
+        "element".to_string()
+    } else {
+        format!("field `{key}`")
+    }
 }
 
-fn sandbox_from_json(v: &Json) -> Result<SandboxLayout, DecodeError> {
-    let assist_page = match get(v, "assist_page")? {
-        Json::Null => None,
-        n => Some(n.as_u64().ok_or("assist_page is not an integer")?),
-    };
-    Ok(SandboxLayout {
-        base: get_u64(v, "base")?,
-        data_pages: get_u64(v, "data_pages")?,
-        assist_page,
-        line_offset: get_u64(v, "line_offset")?,
-    })
+/// Prefix a nested error with the field it occurred in.
+fn in_field<T>(key: &str, r: Result<T, DecodeError>) -> Result<T, DecodeError> {
+    if key.is_empty() {
+        r
+    } else {
+        r.map_err(|e| format!("{key}: {e}"))
+    }
 }
 
-/// Serialize a test case (blocks, sandbox, origin note).
-pub fn test_case_to_json(tc: &TestCase) -> Json {
-    let blocks: Vec<Json> = tc
-        .blocks()
+impl<'a> JsonIn<'a> {
+    /// The value at `key`; `""` is the element itself.
+    fn at(&self, key: Key) -> Result<&'a Json, DecodeError> {
+        if key.is_empty() {
+            Ok(self.0)
+        } else {
+            self.0.get(key).ok_or_else(|| format!("missing field `{key}`"))
+        }
+    }
+
+    fn uint(&self, key: Key) -> Result<u64, DecodeError> {
+        self.at(key)?.as_u64().ok_or_else(|| format!("{} is not an integer", what(key)))
+    }
+
+    fn str(&self, key: Key) -> Result<&'a str, DecodeError> {
+        self.at(key)?.as_str().ok_or_else(|| format!("{} is not a string", what(key)))
+    }
+
+    fn items(&self, key: Key) -> Result<&'a [Json], DecodeError> {
+        self.at(key)?.as_array().ok_or_else(|| format!("{} is not an array", what(key)))
+    }
+}
+
+fn enum_from_label<E: WireEnum>(key: Key, s: &str) -> Result<E, DecodeError> {
+    E::ALL
         .iter()
-        .map(|b| {
-            Json::obj()
-                .field("id", b.id.0)
-                .field("label", b.label.clone())
-                .field("instrs", Json::Arr(b.instrs.iter().map(instr_to_json).collect()))
-                .field("terminator", terminator_to_json(&b.terminator))
-        })
-        .collect();
-    Json::obj()
-        .field("origin", tc.origin())
-        .field("sandbox", sandbox_to_json(&tc.sandbox()))
-        .field("blocks", Json::Arr(blocks))
+        .copied()
+        .find(|e| e.label() == s)
+        .ok_or_else(|| format!("unknown {} label `{s}`", what(key)))
 }
 
-/// Deserialize a test case written by [`test_case_to_json`].
-pub fn test_case_from_json(v: &Json) -> Result<TestCase, DecodeError> {
-    let sandbox = in_field("sandbox", sandbox_from_json(get(v, "sandbox")?))?;
-    let mut blocks = Vec::new();
-    for (i, b) in get_arr(v, "blocks")?.iter().enumerate() {
-        let block = (|| -> Result<BasicBlock, DecodeError> {
-            let label = match get(b, "label")? {
-                Json::Null => None,
-                l => Some(l.as_str().ok_or("label is not a string")?.to_string()),
-            };
-            let instrs = get_arr(b, "instrs")?
-                .iter()
-                .enumerate()
-                .map(|(k, inst)| in_field(&format!("instrs[{k}]"), instr_from_json(inst)))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(BasicBlock {
-                id: BlockId(get_usize(b, "id")?),
-                label,
-                instrs,
-                terminator: in_field(
-                    "terminator",
-                    terminator_from_json(get(b, "terminator")?),
-                )?,
+impl Visitor for JsonIn<'_> {
+    type Error = DecodeError;
+    const DECODES: bool = true;
+    const KEYED: bool = true;
+
+    fn count<N: Int>(&mut self, key: Key, x: Slot<'_, N>) -> Visit<Self> {
+        let n = self.uint(key)?;
+        *x.place() =
+            N::from_u64(n).ok_or_else(|| format!("{} value {n} is out of range", what(key)))?;
+        Ok(())
+    }
+
+    fn word<N: Int>(&mut self, key: Key, x: Slot<'_, N>) -> Visit<Self> {
+        self.count(key, x)
+    }
+
+    fn flag(&mut self, key: Key, x: Slot<'_, bool>) -> Visit<Self> {
+        *x.place() =
+            self.at(key)?.as_bool().ok_or_else(|| format!("{} is not a boolean", what(key)))?;
+        Ok(())
+    }
+
+    fn signed(&mut self, key: Key, x: Slot<'_, i64>) -> Visit<Self> {
+        *x.place() = in_field(key, i64_from_json(self.at(key)?))?;
+        Ok(())
+    }
+
+    fn text(&mut self, key: Key, x: Slot<'_, String>) -> Visit<Self> {
+        *x.place() = self.str(key)?.to_string();
+        Ok(())
+    }
+
+    fn blob(&mut self, key: Key, x: Slot<'_, Vec<u8>>) -> Visit<Self> {
+        let hex = self.str(key)?;
+        if hex.len() % 2 != 0 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return Err(format!("{} is not an even-length hex string", what(key)));
+        }
+        *x.place() = hex
+            .as_bytes()
+            .chunks(2)
+            .map(|pair| {
+                u8::from_str_radix(std::str::from_utf8(pair).expect("ascii hex"), 16)
+                    .expect("validated hex digits")
             })
-        })();
-        blocks.push(in_field(&format!("blocks[{i}]"), block)?);
+            .collect();
+        Ok(())
     }
-    let origin = get_str(v, "origin")?.to_string();
-    Ok(TestCase::new(blocks, sandbox).with_origin(origin))
-}
 
-/// Serialize one architectural input (registers, flags, hex-encoded sandbox
-/// memory).
-pub fn input_to_json(input: &Input) -> Json {
-    let mut mem = String::with_capacity(input.mem.len() * 2);
-    for byte in &input.mem {
-        mem.push_str(&format!("{byte:02x}"));
+    fn label<E: WireEnum>(&mut self, key: Key, x: Slot<'_, E>) -> Visit<Self> {
+        *x.place() = enum_from_label(key, self.str(key)?)?;
+        Ok(())
     }
-    Json::obj()
-        .field("regs", input.regs.to_vec())
-        .field("flags", u64::from(input.flags.bits()))
-        .field("mem", mem)
-        .field("seed_id", input.seed_id)
-}
 
-/// Deserialize an input written by [`input_to_json`].
-pub fn input_from_json(v: &Json) -> Result<Input, DecodeError> {
-    let regs_json = get_arr(v, "regs")?;
-    if regs_json.len() != 16 {
-        return Err(format!("expected 16 registers, found {}", regs_json.len()));
+    fn variant(
+        &mut self,
+        key: Key,
+        labels: &'static [&'static str],
+        tag: Slot<'_, u8>,
+    ) -> Visit<Self> {
+        let s = self.str(key)?;
+        let i = labels
+            .iter()
+            .position(|l| *l == s)
+            .ok_or_else(|| format!("unknown {} label `{s}`", what(key)))?;
+        *tag.place() = i as u8;
+        Ok(())
     }
-    let mut regs = [0u64; 16];
-    for (i, r) in regs_json.iter().enumerate() {
-        regs[i] = r.as_u64().ok_or_else(|| format!("regs[{i}] is not an integer"))?;
+
+    fn bitset<E: WireEnum + Ord>(&mut self, key: Key, x: Slot<'_, BTreeSet<E>>) -> Visit<Self> {
+        let set = x.place();
+        set.clear();
+        for item in self.items(key)? {
+            let s = item.as_str().ok_or_else(|| format!("{} holds a non-string", what(key)))?;
+            set.insert(enum_from_label(key, s)?);
+        }
+        Ok(())
     }
-    let hex = get_str(v, "mem")?;
-    if hex.len() % 2 != 0 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return Err("mem is not an even-length hex string".to_string());
+
+    fn record<T: Wire>(&mut self, key: Key, x: Slot<'_, T>) -> Visit<Self> {
+        in_field(key, T::wire(&mut JsonIn(self.at(key)?), x))
     }
-    let mem = hex
-        .as_bytes()
-        .chunks(2)
-        .map(|pair| {
-            u8::from_str_radix(std::str::from_utf8(pair).expect("ascii hex"), 16)
-                .expect("validated hex digits")
-        })
-        .collect();
-    Ok(Input {
-        regs,
-        flags: FlagSet::from_bits(get_int(v, "flags")?),
-        mem,
-        seed_id: get_u64(v, "seed_id")?,
-    })
-}
 
-fn htrace_to_json(t: &HTrace) -> Json {
-    Json::obj().field("sets", t.sets().bits()).field("samples", u64::from(t.samples()))
-}
+    fn option<T: Blank>(
+        &mut self,
+        key: Key,
+        x: Slot<'_, Option<T>>,
+        some: impl FnOnce(&mut Self, Key, Slot<'_, T>) -> Visit<Self>,
+    ) -> Visit<Self> {
+        let present = if key.is_empty() { Some(self.0) } else { self.0.get(key) };
+        let place = x.place();
+        match present {
+            None | Some(Json::Null) => {
+                *place = None;
+                Ok(())
+            }
+            Some(_) => some(self, key, Slot::Fill(place.insert(T::blank()))),
+        }
+    }
 
-fn htrace_from_json(v: &Json) -> Result<HTrace, DecodeError> {
-    Ok(HTrace::from_parts(
-        SetVector::from_bits(get_u64(v, "sets")?),
-        get_int(v, "samples")?,
-    ))
-}
+    fn list<T: Blank>(
+        &mut self,
+        key: Key,
+        x: Slot<'_, Vec<T>>,
+        mut elem: impl FnMut(&mut Self, Key, Slot<'_, T>) -> Visit<Self>,
+    ) -> Visit<Self> {
+        let items = self.items(key)?;
+        let list = x.place();
+        list.clear();
+        list.reserve(items.len());
+        for (i, item) in items.iter().enumerate() {
+            let mut value = T::blank();
+            elem(&mut JsonIn(item), "", Slot::Fill(&mut value))
+                .map_err(|e| format!("{key}[{i}]: {e}"))?;
+            list.push(value);
+        }
+        Ok(())
+    }
 
-fn violation_to_json(violation: &Violation) -> Json {
-    Json::obj()
-        .field("input_a", violation.input_a)
-        .field("input_b", violation.input_b)
-        .field("htrace_a", htrace_to_json(&violation.htrace_a))
-        .field("htrace_b", htrace_to_json(&violation.htrace_b))
-        .field("ctrace_digest", violation.ctrace_digest)
-}
-
-fn violation_from_json(v: &Json) -> Result<Violation, DecodeError> {
-    Ok(Violation {
-        input_a: get_usize(v, "input_a")?,
-        input_b: get_usize(v, "input_b")?,
-        htrace_a: in_field("htrace_a", htrace_from_json(get(v, "htrace_a")?))?,
-        htrace_b: in_field("htrace_b", htrace_from_json(get(v, "htrace_b")?))?,
-        ctrace_digest: get_u64(v, "ctrace_digest")?,
-    })
+    fn array<T, const N: usize>(
+        &mut self,
+        key: Key,
+        x: Slot<'_, [T; N]>,
+        mut elem: impl FnMut(&mut Self, Key, Slot<'_, T>) -> Visit<Self>,
+    ) -> Visit<Self> {
+        let items = self.items(key)?;
+        if items.len() != N {
+            return Err(format!("{} must hold {N} elements, found {}", what(key), items.len()));
+        }
+        for (i, (slot, item)) in x.place().iter_mut().zip(items).enumerate() {
+            elem(&mut JsonIn(item), "", Slot::Fill(slot)).map_err(|e| format!("{key}[{i}]: {e}"))?;
+        }
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Contract / vulnerability codecs.
-
-/// Serialize a contract structurally (the name alone would lose the window /
-/// nesting parameters).
-pub fn contract_to_json(c: &Contract) -> Json {
-    Json::obj()
-        .field("observation", c.observation.name())
-        .field("execution", c.execution.name())
-        .field("speculation_window", c.speculation_window)
-        .field("nested_speculation", c.nested_speculation)
-        .field("expose_speculative_stores", c.expose_speculative_stores)
-}
-
-/// Deserialize a contract written by [`contract_to_json`].
-pub fn contract_from_json(v: &Json) -> Result<Contract, DecodeError> {
-    let obs = get_str(v, "observation")?;
-    let observation = [ObservationClause::Mem, ObservationClause::Ct, ObservationClause::Arch]
-        .into_iter()
-        .find(|o| o.name() == obs)
-        .ok_or_else(|| format!("unknown observation clause `{obs}`"))?;
-    let exe = get_str(v, "execution")?;
-    let execution = [
-        ExecutionClause::Seq,
-        ExecutionClause::Cond,
-        ExecutionClause::Bpas,
-        ExecutionClause::CondBpas,
-    ]
-    .into_iter()
-    .find(|e| e.name() == exe)
-    .ok_or_else(|| format!("unknown execution clause `{exe}`"))?;
-    Ok(Contract {
-        observation,
-        execution,
-        speculation_window: get_usize(v, "speculation_window")?,
-        nested_speculation: get_bool(v, "nested_speculation")?,
-        expose_speculative_stores: get_bool(v, "expose_speculative_stores")?,
-    })
-}
+// Contract names and output-only documents.
 
 /// Resolve a canonical contract name (`"CT-SEQ"`, `"ARCH-SEQ"`,
 /// `"CT-COND-NOSPECSTORE"`, ...) to the contract with default parameters —
@@ -620,334 +447,21 @@ pub fn contract_from_name(name: &str) -> Option<Contract> {
     .find(|c| c.name() == name)
 }
 
-fn vuln_class_from_label(s: &str) -> Result<VulnClass, DecodeError> {
-    [
-        VulnClass::SpectreV1,
-        VulnClass::SpectreV1Var,
-        VulnClass::SpectreV4,
-        VulnClass::SpectreV4Var,
-        VulnClass::Mds,
-        VulnClass::LviNull,
-        VulnClass::SpeculativeStoreEviction,
-        VulnClass::Unknown,
-        VulnClass::SpectreV2,
-        VulnClass::SpectreV5Ret,
-    ]
-    .into_iter()
-    .find(|v| v.to_string() == s)
-    .ok_or_else(|| format!("unknown vulnerability class `{s}`"))
-}
-
-// ---------------------------------------------------------------------------
-// Reports.
-
-/// Serialize a [`GadgetSignature`] (the static gadget classifier's output).
-/// The derived `class` label rides along for consumers that only want the
-/// leak-class string; decoding ignores it.
-pub fn gadget_signature_to_json(g: &GadgetSignature) -> Json {
-    Json::obj()
-        .field("source", g.source.to_string())
-        .field("transmitter", g.transmitter.to_string())
-        .field("through_load", g.through_load)
-        .field("var_latency", g.var_latency)
-        .field("class", g.label())
-}
-
-/// Deserialize a signature written by [`gadget_signature_to_json`].
-pub fn gadget_signature_from_json(v: &Json) -> Result<GadgetSignature, DecodeError> {
-    let src = get_str(v, "source")?;
-    let source = [
-        SourceKind::CondBranch,
-        SourceKind::IndirectBranch,
-        SourceKind::Return,
-        SourceKind::StoreBypass,
-        SourceKind::AssistLoad,
-        SourceKind::VarLatency,
-    ]
-    .into_iter()
-    .find(|k| k.to_string() == src)
-    .ok_or_else(|| format!("unknown source kind `{src}`"))?;
-    let tx = get_str(v, "transmitter")?;
-    let transmitter = [TransmitterKind::Load, TransmitterKind::Store]
-        .into_iter()
-        .find(|k| k.to_string() == tx)
-        .ok_or_else(|| format!("unknown transmitter kind `{tx}`"))?;
-    Ok(GadgetSignature {
-        source,
-        transmitter,
-        through_load: get_bool(v, "through_load")?,
-        var_latency: get_bool(v, "var_latency")?,
-    })
-}
-
-/// Serialize the integer-sum [`EffectivenessStats`] aggregate (§5.2).
-pub fn effectiveness_stats_to_json(e: &EffectivenessStats) -> Json {
-    Json::obj()
-        .field("total_inputs", e.total_inputs)
-        .field("effective_inputs", e.effective_inputs)
-        .field("classes", e.classes)
-        .field("singleton_classes", e.singleton_classes)
-}
-
-/// Deserialize statistics written by [`effectiveness_stats_to_json`].
-pub fn effectiveness_stats_from_json(v: &Json) -> Result<EffectivenessStats, DecodeError> {
-    Ok(EffectivenessStats {
-        total_inputs: get_usize(v, "total_inputs")?,
-        effective_inputs: get_usize(v, "effective_inputs")?,
-        classes: get_usize(v, "classes")?,
-        singleton_classes: get_usize(v, "singleton_classes")?,
-    })
-}
-
-/// Serialize a [`ViolationReport`]: the full counterexample (test case,
-/// inputs, diverging trace pair), the violated contract, the exact `u64`
-/// campaign seed and the detection counters.
-pub fn violation_report_to_json(r: &ViolationReport) -> Json {
-    Json::obj()
-        .field("test_case", test_case_to_json(&r.test_case))
-        .field("inputs", Json::Arr(r.inputs.iter().map(input_to_json).collect()))
-        .field("violation", violation_to_json(&r.violation))
-        .field("contract", contract_to_json(&r.contract))
-        .field("test_case_seed", r.test_case_seed)
-        .field("vulnerability", r.vulnerability.to_string())
-        .field("gadget", r.gadget.as_ref().map(gadget_signature_to_json))
-        .field("test_cases_until_detection", r.test_cases_until_detection)
-        .field("inputs_until_detection", r.inputs_until_detection)
-}
-
-/// Deserialize a report written by [`violation_report_to_json`].
-pub fn violation_report_from_json(v: &Json) -> Result<ViolationReport, DecodeError> {
-    let inputs = get_arr(v, "inputs")?
-        .iter()
-        .enumerate()
-        .map(|(i, input)| in_field(&format!("inputs[{i}]"), input_from_json(input)))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(ViolationReport {
-        test_case: in_field("test_case", test_case_from_json(get(v, "test_case")?))?,
-        inputs,
-        violation: in_field("violation", violation_from_json(get(v, "violation")?))?,
-        contract: in_field("contract", contract_from_json(get(v, "contract")?))?,
-        test_case_seed: get_u64(v, "test_case_seed")?,
-        vulnerability: vuln_class_from_label(get_str(v, "vulnerability")?)?,
-        // Absent in reports exported before the static classifier existed.
-        gadget: match v.get("gadget") {
-            None | Some(Json::Null) => None,
-            Some(g) => Some(in_field("gadget", gadget_signature_from_json(g))?),
-        },
-        test_cases_until_detection: get_usize(v, "test_cases_until_detection")?,
-        inputs_until_detection: get_usize(v, "inputs_until_detection")?,
-    })
-}
-
-fn coverage_to_json(c: &PatternCoverage) -> Json {
-    let pairs: Vec<Json> = c
-        .covered_pairs()
-        .iter()
-        .map(|(a, b)| Json::Arr(vec![Json::Str(a.to_string()), Json::Str(b.to_string())]))
-        .collect();
-    Json::obj()
-        .field("patterns", c.covered().iter().map(|p| p.to_string()).collect::<Vec<_>>())
-        .field("pairs", Json::Arr(pairs))
-}
-
-fn coverage_from_json(v: &Json) -> Result<PatternCoverage, DecodeError> {
-    let mut covered = BTreeSet::new();
-    for p in get_arr(v, "patterns")? {
-        let name = p.as_str().ok_or("pattern is not a string")?;
-        covered
-            .insert(Pattern::from_name(name).ok_or_else(|| format!("unknown pattern `{name}`"))?);
-    }
-    let mut covered_pairs = BTreeSet::new();
-    for pair in get_arr(v, "pairs")? {
-        let items = pair.as_array().ok_or("pair is not an array")?;
-        let [a, b] = items else { return Err("pair is not a 2-element array".to_string()) };
-        let parse = |p: &Json| -> Result<Pattern, DecodeError> {
-            let name = p.as_str().ok_or("pattern is not a string")?;
-            Pattern::from_name(name).ok_or_else(|| format!("unknown pattern `{name}`"))
-        };
-        covered_pairs.insert((parse(a)?, parse(b)?));
-    }
-    Ok(PatternCoverage::from_parts(covered, covered_pairs))
-}
-
-/// Serialize a [`FuzzReport`].  The duration is stored in exact nanoseconds;
-/// `mean_effectiveness` round-trips through Rust's shortest-representation
-/// float formatting.
+/// Encode a [`FuzzReport`] (output only).  The duration is stored in
+/// exact nanoseconds; `mean_effectiveness` is written with Rust's
+/// shortest-representation float formatting.
 pub fn fuzz_report_to_json(r: &FuzzReport) -> Json {
     Json::obj()
-        .field("violation", r.violation.as_ref().map(violation_report_to_json))
+        .field("violation", r.violation.as_ref().map(to_json))
         .field("test_cases", r.test_cases)
         .field("generated", r.generated)
         .field("statically_filtered", r.statically_filtered)
         .field("total_inputs", r.total_inputs)
         .field("rounds", r.rounds)
         .field("escalations", r.escalations)
-        .field("duration_ns", duration_to_json(r.duration))
+        .field("duration_ns", r.duration.to_u64())
         .field("mean_effectiveness", r.mean_effectiveness)
-        .field("coverage", coverage_to_json(&r.coverage))
-}
-
-/// Deserialize a report written by [`fuzz_report_to_json`].
-pub fn fuzz_report_from_json(v: &Json) -> Result<FuzzReport, DecodeError> {
-    let violation = match get(v, "violation")? {
-        Json::Null => None,
-        r => Some(in_field("violation", violation_report_from_json(r))?),
-    };
-    let test_cases = get_usize(v, "test_cases")?;
-    Ok(FuzzReport {
-        violation,
-        test_cases,
-        // Absent in reports exported before the static pre-filter existed,
-        // where every generated test case was measured.
-        generated: match v.get("generated") {
-            None => test_cases,
-            Some(_) => get_usize(v, "generated")?,
-        },
-        statically_filtered: match v.get("statically_filtered") {
-            None => 0,
-            Some(_) => get_usize(v, "statically_filtered")?,
-        },
-        total_inputs: get_usize(v, "total_inputs")?,
-        rounds: get_usize(v, "rounds")?,
-        escalations: get_usize(v, "escalations")?,
-        duration: in_field("duration_ns", duration_from_json(get(v, "duration_ns")?))?,
-        mean_effectiveness: get_f64(v, "mean_effectiveness")?,
-        coverage: in_field("coverage", coverage_from_json(get(v, "coverage")?))?,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Matrix checkpoints and result payloads (the campaign service's spool and
-// wire formats).
-
-use revizor::orchestrator::{
-    CellProgress, CellReport, GroupProgress, MatrixCheckpoint, MatrixReport,
-};
-
-fn cell_progress_to_json(c: &CellProgress) -> Json {
-    Json::obj()
-        .field("violation", c.violation.as_ref().map(violation_report_to_json))
-        .field("test_cases", c.test_cases)
-        .field("filtered", c.filtered)
-        .field("total_inputs", c.total_inputs)
-        .field("effectiveness", effectiveness_stats_to_json(&c.effectiveness))
-        .field("detection_ns", duration_to_json(c.detection_time))
-}
-
-fn cell_progress_from_json(v: &Json) -> Result<CellProgress, DecodeError> {
-    let violation = match get(v, "violation")? {
-        Json::Null => None,
-        r => Some(in_field("violation", violation_report_from_json(r))?),
-    };
-    Ok(CellProgress {
-        violation,
-        test_cases: get_usize(v, "test_cases")?,
-        // Absent in pre-filter spools: nothing was ever filtered, and
-        // effectiveness sums were not yet tracked.
-        filtered: match v.get("filtered") {
-            None => 0,
-            Some(_) => get_usize(v, "filtered")?,
-        },
-        total_inputs: get_usize(v, "total_inputs")?,
-        effectiveness: match v.get("effectiveness") {
-            None => EffectivenessStats::default(),
-            Some(e) => in_field("effectiveness", effectiveness_stats_from_json(e))?,
-        },
-        detection_time: in_field("detection_ns", duration_from_json(get(v, "detection_ns")?))?,
-    })
-}
-
-fn group_progress_to_json(g: &GroupProgress) -> Json {
-    Json::obj()
-        .field("target_id", g.target_id)
-        .field("next_index", g.next_index)
-        .field("test_cases", g.test_cases)
-        .field("filtered", g.filtered)
-        .field("total_inputs", g.total_inputs)
-        .field("effectiveness", Json::Arr(g.effectiveness.iter().map(effectiveness_stats_to_json).collect()))
-        .field("round", g.round)
-        .field("work_ns", duration_to_json(g.work))
-        .field("escalations", g.escalations)
-        .field("coverage_level", g.coverage_level)
-        .field("round_improved", g.round_improved)
-        .field("coverage", coverage_to_json(&g.coverage))
-}
-
-fn group_progress_from_json(v: &Json) -> Result<GroupProgress, DecodeError> {
-    Ok(GroupProgress {
-        target_id: get_int(v, "target_id")?,
-        next_index: get_usize(v, "next_index")?,
-        test_cases: get_usize(v, "test_cases")?,
-        // Absent in pre-filter spools (see `cell_progress_from_json`).
-        filtered: match v.get("filtered") {
-            None => 0,
-            Some(_) => get_usize(v, "filtered")?,
-        },
-        total_inputs: get_usize(v, "total_inputs")?,
-        effectiveness: match v.get("effectiveness") {
-            None => Vec::new(),
-            Some(_) => get_arr(v, "effectiveness")?
-                .iter()
-                .enumerate()
-                .map(|(i, e)| in_field(&format!("effectiveness[{i}]"), effectiveness_stats_from_json(e)))
-                .collect::<Result<Vec<_>, _>>()?,
-        },
-        round: get_usize(v, "round")?,
-        work: in_field("work_ns", duration_from_json(get(v, "work_ns")?))?,
-        escalations: get_usize(v, "escalations")?,
-        coverage_level: get_usize(v, "coverage_level")?,
-        round_improved: get_bool(v, "round_improved")?,
-        coverage: in_field("coverage", coverage_from_json(get(v, "coverage")?))?,
-    })
-}
-
-/// Serialize a [`MatrixCheckpoint`] — the campaign service's spool format.
-pub fn matrix_checkpoint_to_json(cp: &MatrixCheckpoint) -> Json {
-    Json::obj()
-        .field("wave", cp.wave)
-        .field("seed", cp.seed)
-        .field("budget", cp.budget)
-        .field("round_size", cp.round_size)
-        .field("escalation", cp.escalation)
-        .field("config_digest", cp.config_digest)
-        .field(
-            "cells",
-            Json::Arr(
-                cp.cells.iter().map(|c| c.as_ref().map(cell_progress_to_json).into()).collect(),
-            ),
-        )
-        .field("groups", Json::Arr(cp.groups.iter().map(group_progress_to_json).collect()))
-}
-
-/// Deserialize a checkpoint written by [`matrix_checkpoint_to_json`].
-pub fn matrix_checkpoint_from_json(v: &Json) -> Result<MatrixCheckpoint, DecodeError> {
-    let mut cells = Vec::new();
-    for (i, c) in get_arr(v, "cells")?.iter().enumerate() {
-        cells.push(match c {
-            Json::Null => None,
-            c => Some(in_field(&format!("cells[{i}]"), cell_progress_from_json(c))?),
-        });
-    }
-    let groups = get_arr(v, "groups")?
-        .iter()
-        .enumerate()
-        .map(|(i, g)| in_field(&format!("groups[{i}]"), group_progress_from_json(g)))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(MatrixCheckpoint {
-        // Absent in pre-multi-host spools; those resume at wave 0 (the
-        // counter is informational, never verdict-relevant).
-        wave: match v.get("wave") {
-            None => 0,
-            Some(_) => get_usize(v, "wave")?,
-        },
-        seed: get_u64(v, "seed")?,
-        budget: get_usize(v, "budget")?,
-        round_size: get_usize(v, "round_size")?,
-        escalation: get_bool(v, "escalation")?,
-        config_digest: get_u64(v, "config_digest")?,
-        cells,
-        groups,
-    })
+        .field("coverage", to_json(&r.coverage))
 }
 
 /// A decoded checkpoint-transfer frame (see
@@ -991,8 +505,8 @@ fn cell_report_to_json(cell: &CellReport) -> Json {
         .field("test_cases", cell.test_cases)
         .field("statically_filtered", cell.filtered)
         .field("total_inputs", cell.total_inputs)
-        .field("effectiveness", effectiveness_stats_to_json(&cell.effectiveness))
-        .field("violation", cell.violation.as_ref().map(violation_report_to_json))
+        .field("effectiveness", to_json(&cell.effectiveness))
+        .field("violation", cell.violation.as_ref().map(to_json))
 }
 
 /// The wall-clock side channel of a matrix result: total duration plus the
@@ -1020,6 +534,7 @@ mod tests {
     use revizor::{FuzzerConfig, Revizor};
     use rvz_executor::ExecutorConfig;
     use rvz_isa::builder::TestCaseBuilder;
+    use rvz_isa::{AluOp, Input, Instr, MemOperand, Operand, TestCase, Width};
 
     /// A campaign report with a real V1 violation (Target 5 × CT-SEQ).
     fn v1_report() -> ViolationReport {
@@ -1065,24 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn fuzz_report_round_trips() {
-        let target = Target::target5();
-        let generator = rvz_gen::GeneratorConfig::for_subset(target.isa)
-            .with_basic_blocks(4)
-            .with_instructions(14);
-        let config = FuzzerConfig::for_target(&target, Contract::ct_seq())
-            .with_generator(generator)
-            .with_executor(ExecutorConfig::fast(target.mode).with_repetitions(2))
-            .with_inputs_per_test_case(20)
-            .with_max_test_cases(40)
-            .with_seed(1);
-        let report = Revizor::new(target.cpu(), config).with_target(target.clone()).run();
-        let doc = fuzz_report_to_json(&report).render();
-        let decoded = fuzz_report_from_json(&parse(&doc).unwrap()).unwrap();
-        assert_eq!(decoded, report);
-    }
-
-    #[test]
     fn handwritten_gadget_with_every_terminator_round_trips() {
         // Gadgets exercise Call/Ret/IndirectJmp, which generated code does
         // not; round-trip them explicitly.
@@ -1091,8 +588,8 @@ mod tests {
             revizor::gadgets::spectre_v4(),
             revizor::gadgets::mds_lfb(),
         ] {
-            let doc = test_case_to_json(&tc).render();
-            let decoded = test_case_from_json(&parse(&doc).unwrap()).unwrap();
+            let doc = to_json(&tc).render();
+            let decoded: TestCase = from_json(&parse(&doc).unwrap()).unwrap();
             assert_eq!(decoded, tc);
         }
     }
@@ -1115,8 +612,8 @@ mod tests {
                 b.exit();
             })
             .build();
-        let doc = test_case_to_json(&tc).render();
-        assert_eq!(test_case_from_json(&parse(&doc).unwrap()).unwrap(), tc);
+        let doc = to_json(&tc).render();
+        assert_eq!(from_json::<TestCase>(&parse(&doc).unwrap()).unwrap(), tc);
     }
 
     #[test]
@@ -1132,8 +629,8 @@ mod tests {
             Contract::ct_cond_no_spec_store(),
             Contract::ct_cond().with_speculation_window(17).with_nesting(true),
         ] {
-            let doc = contract_to_json(&c).render();
-            assert_eq!(contract_from_json(&parse(&doc).unwrap()).unwrap(), c);
+            let doc = to_json(&c).render();
+            assert_eq!(from_json::<Contract>(&parse(&doc).unwrap()).unwrap(), c);
         }
     }
 
@@ -1213,9 +710,9 @@ mod tests {
             let doc = parse(text).unwrap();
             assert!(violation_report_from_json(&doc).is_err());
         }
-        assert!(input_from_json(&parse(r#"{"regs":[],"flags":0,"mem":"","seed_id":0}"#).unwrap())
+        assert!(from_json::<Input>(&parse(r#"{"regs":[],"flags":0,"mem":"","seed_id":0}"#).unwrap())
             .is_err());
-        assert!(input_from_json(
+        assert!(from_json::<Input>(
             &parse(r#"{"regs":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"flags":0,"mem":"0g","seed_id":0}"#)
                 .unwrap()
         )

@@ -1,9 +1,7 @@
 //! LRU set-associative cache model.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry of a cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     /// Number of sets.
     pub sets: usize,
@@ -38,7 +36,7 @@ impl Default for CacheConfig {
 }
 
 /// One cache line: tag plus LRU age (smaller = more recently used).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Line {
     tag: u64,
     age: u32,
@@ -48,7 +46,7 @@ struct Line {
 ///
 /// Addresses are mapped to sets by `(addr / line_size) % sets`; the tag is
 /// the full line address, so distinct addresses never alias incorrectly.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cache {
     config: CacheConfig,
     sets: Vec<Vec<Line>>,

@@ -1,6 +1,5 @@
 //! Bit vectors over cache sets — the hardware-trace alphabet.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A vector of up to 64 cache sets, one bit per set.
@@ -9,7 +8,7 @@ use std::fmt;
 /// Prime+Probe mode: "a sequence of bits, each representing whether a
 /// specific cache set was accessed by the test case or not" (§5.3), printed
 /// most-significant set first, e.g. `10001100...` for sets 0, 4 and 5.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SetVector(u64);
 
 impl SetVector {

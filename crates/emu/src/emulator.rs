@@ -8,10 +8,9 @@ use rvz_isa::{
     AluOp, Cond, DecodedOp, DstOp, Flag, Input, Instr, MemOperand, Operand, Reg, SandboxLayout,
     ShiftOp, SrcOp, UnaryOp, Width,
 };
-use serde::{Deserialize, Serialize};
 
 /// Kind of a memory event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemEventKind {
     /// A load.
     Read,
@@ -23,7 +22,7 @@ pub enum MemEventKind {
 ///
 /// The contract model turns these into contract-trace observations:
 /// `MEM`/`CT` expose `addr`, `ARCH` additionally exposes `value` for reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemEvent {
     /// Virtual address accessed.
     pub addr: u64,

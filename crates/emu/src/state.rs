@@ -3,14 +3,13 @@
 use crate::fault::Fault;
 use rvz_isa::reg::FlagSet;
 use rvz_isa::{Flag, Input, Reg, SandboxLayout, Width};
-use serde::{Deserialize, Serialize};
 
 /// The complete architectural state of a test-case execution.
 ///
 /// Cloning an `ArchState` is the checkpoint mechanism used by the contract
 /// model to explore speculative paths and roll back (§5.4, "the emulator
 /// takes a checkpoint ... then rolls back").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArchState {
     regs: [u64; 16],
     flags: FlagSet,

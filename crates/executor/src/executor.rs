@@ -8,11 +8,10 @@ use rvz_cache::{EvictReload, FlushReload, PrimeProbe, SetVector, SideChannel};
 use rvz_emu::Fault;
 use rvz_isa::{DecodedProgram, Input, TestCase};
 use rvz_uarch::{CpuUnderTest, RunOptions};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Executor configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecutorConfig {
     /// Measurement mode (cache attack + assists).
     pub mode: MeasurementMode,

@@ -1,7 +1,6 @@
 //! Hardware traces.
 
 use rvz_cache::SetVector;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A hardware trace: the side-channel observation of one (test case, input)
@@ -10,7 +9,7 @@ use std::fmt;
 /// In the L1D Prime+Probe mode this is the bit vector of cache sets touched
 /// by the test case (§5.3); the paper prints it as a 64-character bit
 /// string, which [`fmt::Display`] reproduces.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct HTrace {
     sets: SetVector,
     /// Number of raw samples merged into this trace.

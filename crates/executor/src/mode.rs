@@ -1,10 +1,9 @@
 //! Measurement modes and the noise model.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which cache attack the executor performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SideChannelKind {
     /// Prime+Probe on the L1D cache (the paper's default).
     PrimeProbe,
@@ -27,7 +26,7 @@ impl fmt::Display for SideChannelKind {
 
 /// A measurement mode: a cache attack, optionally with microcode assists
 /// (the `*+Assist` modes of §5.3, used for the MDS/LVI experiments).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MeasurementMode {
     /// The cache attack performed.
     pub channel: SideChannelKind,
@@ -87,7 +86,7 @@ impl Default for MeasurementMode {
 /// injects equivalent disturbances on demand — this keeps the paper's
 /// filtering pipeline (repetition, outlier discard, trace union, SMI
 /// discard) honest and testable.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseConfig {
     /// Probability that a sample gains one spurious cache set (e.g. a
     /// prefetch or an unrelated eviction).

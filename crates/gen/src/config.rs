@@ -2,7 +2,6 @@
 
 use crate::scenario::Scenario;
 use rvz_isa::{IsaSubset, Reg};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the test-case generator (§5.1) and the input generator
 /// (§5.2).
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// instructions, 2 memory accesses and 2 basic blocks per test case, 2 bits
 /// of input entropy, 50 inputs per test case; the diversity analysis grows
 /// these over testing rounds.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GeneratorConfig {
     /// ISA subset to sample instructions from.
     pub isa: IsaSubset,
@@ -54,10 +53,8 @@ pub struct GeneratorConfig {
     /// biased — a ~7× mean speedup.
     pub branch_then_load_bias: bool,
     /// Pin generation to a handwritten scenario gadget instead of random
-    /// programs (the seed still varies the input streams).  `None` — the
-    /// default, and the value absent pre-zoo configurations decode to —
-    /// keeps the random generator.
-    #[serde(default)]
+    /// programs (the seed still varies the input streams).  `None`, the
+    /// default, keeps the random generator.
     pub scenario: Option<Scenario>,
 }
 

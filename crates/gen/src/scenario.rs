@@ -17,7 +17,6 @@
 use crate::config::GeneratorConfig;
 use rvz_isa::builder::TestCaseBuilder;
 use rvz_isa::{Cond, Instr, Operand, Reg, SandboxLayout, ShiftOp, TestCase};
-use serde::{Deserialize, Serialize};
 
 /// The sandbox-masking constant for a one-page sandbox (`0b111111000000`).
 const MASK: i64 = 0b111111000000;
@@ -27,7 +26,7 @@ const MASK: i64 = 0b111111000000;
 /// The first seven variants are the paper's Table 5 gadgets; the rest are
 /// predictor-zoo scenarios that require a non-default
 /// `PredictorConfig` to fire (see each variant's documentation).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Scenario {
     /// Spectre V1: bounds check bypass with a dependent double load.
     SpectreV1,

@@ -2,11 +2,10 @@
 
 use crate::inst::{Cond, Instr};
 use crate::reg::Reg;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a basic block within a [`TestCase`](crate::TestCase).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockId(pub usize);
 
 impl BlockId {
@@ -32,7 +31,7 @@ impl fmt::Display for BlockId {
 /// with a strictly larger id, which rules out loops by construction.
 /// Handwritten gadgets additionally use `Call`/`Ret`/indirect jumps for the
 /// Spectre V2 / V5-ret experiments (Table 5).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Terminator {
     /// End of the test case.
     Exit,
@@ -134,7 +133,7 @@ impl fmt::Display for Terminator {
 }
 
 /// A basic block: a straight-line instruction sequence plus one terminator.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BasicBlock {
     /// Identifier of this block.
     pub id: BlockId,

@@ -7,11 +7,10 @@
 //! handwritten Table 5 gadgets).
 
 use crate::inst::{AluOp, Cond, ShiftOp, UnaryOp};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Instruction class, following the paper's grouping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstrClass {
     /// In-register arithmetic, logic and bitwise operations.
     Ar,
@@ -40,7 +39,7 @@ impl fmt::Display for InstrClass {
 
 /// The syntactic form of a catalog entry; the generator instantiates the
 /// form with concrete registers, immediates and sandbox offsets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum InstrForm {
     AluRegReg(AluOp),
@@ -126,7 +125,7 @@ impl InstrForm {
 }
 
 /// One entry of the instruction catalog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct InstrSpec {
     /// Human-readable name (mnemonic plus operand shape).
     pub name: &'static str,
@@ -145,7 +144,7 @@ pub struct InstrSpec {
 /// assert!(s.ar && s.mem && s.cb && !s.var);
 /// assert!(IsaSubset::AR.instruction_count() < s.instruction_count());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IsaSubset {
     /// Include in-register arithmetic.
     pub ar: bool,

@@ -5,7 +5,6 @@
 
 use crate::reg::{FlagSet, Reg};
 use crate::sandbox::SandboxLayout;
-use serde::{Deserialize, Serialize};
 
 /// One architectural input (`Data` in Definition 1).
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(input.reg(Reg::Rax), 0x40);
 /// assert_eq!(input.read_mem_u64(64), 0xdead_beef);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Input {
     /// General-purpose register values, indexed by [`Reg::index`].
     pub regs: [u64; 16],

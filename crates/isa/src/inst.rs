@@ -3,11 +3,10 @@
 use crate::block::BlockId;
 use crate::operand::{MemOperand, Operand};
 use crate::reg::{Reg, Width};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Binary ALU operations (`dest = dest OP src`, flags written).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum AluOp {
     Add,
@@ -44,7 +43,7 @@ impl AluOp {
 }
 
 /// Unary read-modify-write operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum UnaryOp {
     Not,
@@ -74,7 +73,7 @@ impl UnaryOp {
 }
 
 /// Shift operations (`dest = dest OP amount`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum ShiftOp {
     Shl,
@@ -102,7 +101,7 @@ impl ShiftOp {
 }
 
 /// x86-style condition codes for `Jcc`, `CMOVcc` and `SETcc`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum Cond {
     /// Overflow.
@@ -217,7 +216,7 @@ impl fmt::Display for Cond {
 /// Control flow is expressed separately by [`Terminator`](crate::Terminator)s
 /// at the end of each basic block, which keeps generated programs loop-free
 /// (the paper generates DAGs of basic blocks, §5.1).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Instr {
     /// `dest = dest op src`; writes flags.  `lock` mirrors the x86 `LOCK`
     /// prefix on memory destinations (semantically a no-op for the
@@ -555,7 +554,7 @@ impl fmt::Display for Instr {
 
 /// A pending jump target: either a resolved [`BlockId`] or a named label
 /// (used by the builder before resolution).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum JumpTarget {
     /// A resolved basic-block id.
     Block(BlockId),

@@ -1,7 +1,6 @@
 //! Instruction operands: registers, immediates and memory references.
 
 use crate::reg::{Reg, Width};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A memory operand of the form `[base + index*scale + disp]`.
@@ -17,7 +16,7 @@ use std::fmt;
 /// let m = MemOperand::base_index(Reg::R14, Reg::Rax);
 /// assert_eq!(format!("{}", m.display(Width::Byte)), "byte ptr [R14 + RAX]");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemOperand {
     /// Base register.
     pub base: Reg,
@@ -94,7 +93,7 @@ impl fmt::Display for MemOperandDisplay {
 }
 
 /// An instruction operand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operand {
     /// A register accessed at the given width.
     Reg(Reg, Width),

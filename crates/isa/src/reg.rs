@@ -1,6 +1,5 @@
 //! Architectural registers, status flags and operand widths.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// General-purpose registers of the ISA.
@@ -20,7 +19,7 @@ use std::fmt;
 /// assert_eq!(Reg::ALL.len(), 16);
 /// assert_eq!(format!("{}", Reg::R14), "R14");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum Reg {
     Rax,
@@ -130,7 +129,7 @@ impl Reg {
 /// it, testing membership and intersecting two sets are single-word
 /// operations, which is what lets per-instruction execution records stay
 /// `Copy` on the measurement hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct RegSet {
     bits: u16,
 }
@@ -220,7 +219,7 @@ impl fmt::Display for Reg {
 
 /// Status flags written by arithmetic instructions and read by conditional
 /// instructions (`Jcc`, `CMOVcc`, `SETcc`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum Flag {
     /// Carry flag.
@@ -260,7 +259,7 @@ impl fmt::Display for Flag {
 }
 
 /// Access width of an operand, in bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Width {
     /// 8-bit access.
     Byte,
@@ -342,7 +341,7 @@ impl fmt::Display for Width {
 /// assert!(f.get(Flag::Zf));
 /// assert!(!f.get(Flag::Cf));
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct FlagSet(u8);
 
 impl FlagSet {

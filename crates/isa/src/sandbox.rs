@@ -7,8 +7,6 @@
 //! *faulty* page whose "Accessed" bit is cleared so that the first access to
 //! it triggers a microcode assist (§5.3, `*+Assist` mode).
 
-use serde::{Deserialize, Serialize};
-
 /// Size of a page in bytes.
 pub const PAGE_SIZE: u64 = 4096;
 
@@ -35,7 +33,7 @@ pub const SANDBOX_BASE_ADDR: u64 = 0x0010_0000;
 /// assert_eq!(l.size(), 2 * 4096 + SandboxLayout::STACK_SIZE);
 /// assert!(l.contains(l.base + 4096));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SandboxLayout {
     /// Base virtual address (held in `R14`).
     pub base: u64,

@@ -3,7 +3,6 @@
 use crate::block::{BasicBlock, BlockId, Terminator};
 use crate::inst::Instr;
 use crate::sandbox::SandboxLayout;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -13,7 +12,7 @@ use std::fmt;
 /// test cases are DAGs (terminators only jump forward), which matches the
 /// paper's loop-free generation strategy (§5.1).  Handwritten gadgets may use
 /// `Call`/`Ret` but must still be acyclic in the static successor relation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TestCase {
     blocks: Vec<BasicBlock>,
     sandbox: SandboxLayout,
@@ -95,6 +94,17 @@ impl TestCase {
     /// Mutable access to the blocks (used by the postprocessor/minimizer).
     pub fn blocks_mut(&mut self) -> &mut Vec<BasicBlock> {
         &mut self.blocks
+    }
+
+    /// The sandbox layout, origin note and blocks, borrowed together (for
+    /// codecs that visit every field in place).
+    pub fn fields(&self) -> (&SandboxLayout, &String, &Vec<BasicBlock>) {
+        (&self.sandbox, &self.origin, &self.blocks)
+    }
+
+    /// Mutable form of [`TestCase::fields`] (for decoders).
+    pub fn fields_mut(&mut self) -> (&mut SandboxLayout, &mut String, &mut Vec<BasicBlock>) {
+        (&mut self.sandbox, &mut self.origin, &mut self.blocks)
     }
 
     /// The sandbox layout.

@@ -1,10 +1,9 @@
 //! Speculation contracts: observation and execution clauses.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The observation clause: what an instruction may expose (§2.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ObservationClause {
     /// `MEM`: addresses of data loads and stores (a data-cache attacker).
     Mem,
@@ -17,6 +16,24 @@ pub enum ObservationClause {
 }
 
 impl ObservationClause {
+    /// Every clause, in wire order: the binary codec writes a clause as
+    /// its position here, so new variants are appended, never inserted.
+    pub const ALL: [ObservationClause; 3] = [
+        ObservationClause::Mem,
+        ObservationClause::Ct,
+        ObservationClause::Arch,
+    ];
+
+    /// Position in [`ObservationClause::ALL`].  The match is exhaustive, so a new
+    /// variant does not compile until it is given the next slot.
+    pub const fn index(self) -> usize {
+        match self {
+            ObservationClause::Mem => 0,
+            ObservationClause::Ct => 1,
+            ObservationClause::Arch => 2,
+        }
+    }
+
     /// Does the clause expose the program counter?
     pub fn exposes_pc(self) -> bool {
         matches!(self, ObservationClause::Ct | ObservationClause::Arch)
@@ -38,7 +55,7 @@ impl ObservationClause {
 }
 
 /// The execution clause: which speculation the contract permits (§2.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecutionClause {
     /// `SEQ`: observations only from the sequential (in-order,
     /// non-speculative) execution.
@@ -55,6 +72,26 @@ pub enum ExecutionClause {
 }
 
 impl ExecutionClause {
+    /// Every clause, in wire order: the binary codec writes a clause as
+    /// its position here, so new variants are appended, never inserted.
+    pub const ALL: [ExecutionClause; 4] = [
+        ExecutionClause::Seq,
+        ExecutionClause::Cond,
+        ExecutionClause::Bpas,
+        ExecutionClause::CondBpas,
+    ];
+
+    /// Position in [`ExecutionClause::ALL`].  The match is exhaustive, so a new
+    /// variant does not compile until it is given the next slot.
+    pub const fn index(self) -> usize {
+        match self {
+            ExecutionClause::Seq => 0,
+            ExecutionClause::Cond => 1,
+            ExecutionClause::Bpas => 2,
+            ExecutionClause::CondBpas => 3,
+        }
+    }
+
     /// Does the clause permit conditional-branch misprediction?
     pub fn permits_cond(self) -> bool {
         matches!(self, ExecutionClause::Cond | ExecutionClause::CondBpas)
@@ -82,7 +119,7 @@ impl ExecutionClause {
 /// The paper's evaluation tests the CT-* family (Table 3) plus MEM-SEQ /
 /// ARCH-SEQ for the sensitivity experiment (§6.6) and a CT-COND variant in
 /// which speculative stores may not leak (§6.4).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Contract {
     /// What may be exposed.
     pub observation: ObservationClause,

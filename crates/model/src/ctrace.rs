@@ -1,11 +1,10 @@
 //! Contract traces.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
 /// One contract-prescribed observation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Observation {
     /// Address of a data load or store (`MEM`, `CT`, `ARCH`).
     MemAddr(u64),
@@ -31,7 +30,7 @@ impl fmt::Display for Observation {
 /// Equality of contract traces defines the *input classes* of the relational
 /// analysis, so `CTrace` implements `Eq`/`Hash` and caches a digest for fast
 /// grouping of the large input sets used during fuzzing.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CTrace {
     observations: Vec<Observation>,
     digest: u64,

@@ -7,7 +7,6 @@ use rvz_isa::{
     BlockId, DecodedInstr, DecodedOp, DecodedProgram, DecodedTerm, DecodedTerminator, Input, Instr,
     RegSet, Terminator, TestCase,
 };
-use serde::{Deserialize, Serialize};
 
 /// Base virtual address of the (synthetic) code layout used for program-
 /// counter observations.
@@ -18,7 +17,7 @@ const MAX_ARCH_STEPS: usize = 4096;
 
 /// Classification of an executed instruction, used by the diversity
 /// (pattern-coverage) analysis (§5.6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstrKind {
     /// Reads memory only.
     Load,
@@ -47,7 +46,7 @@ pub enum InstrKind {
 /// write for read-modify-write ops, plus the stack access of `CALL`/`RET`
 /// terminators is a single event), so the record stays `Copy` and the
 /// collection loop never heap-allocates per instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemAddrs {
     addrs: [u64; 3],
     len: u8,
@@ -103,7 +102,7 @@ impl MemAddrs {
 /// the measurement hot path (and cloned per contract by
 /// [`ContractModel::collect_many`]), so the register sets are bitmasks and
 /// the access addresses are stored inline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutedInstr {
     /// Block containing the instruction.
     pub block: BlockId,
@@ -125,7 +124,7 @@ pub struct ExecutedInstr {
 
 /// Execution metadata collected alongside the contract trace; input to the
 /// pattern-coverage analysis.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecutionInfo {
     /// Architecturally executed instructions, in order.
     pub executed: Vec<ExecutedInstr>,

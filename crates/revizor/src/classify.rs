@@ -9,11 +9,10 @@
 use crate::targets::Target;
 use rvz_model::Contract;
 use rvz_isa::TestCase;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Known classes of speculative vulnerabilities surfaced by the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VulnClass {
     /// Spectre V1 (bounds check bypass).
     SpectreV1,
@@ -35,6 +34,40 @@ pub enum VulnClass {
     SpectreV2,
     /// Spectre V5 / ret2spec (stale RSB return-target prediction).
     SpectreV5Ret,
+}
+
+impl VulnClass {
+    /// Every class, in wire order: the binary codec writes a class as
+    /// its position here, so new variants are appended, never inserted.
+    pub const ALL: [VulnClass; 10] = [
+        VulnClass::SpectreV1,
+        VulnClass::SpectreV1Var,
+        VulnClass::SpectreV4,
+        VulnClass::SpectreV4Var,
+        VulnClass::Mds,
+        VulnClass::LviNull,
+        VulnClass::SpeculativeStoreEviction,
+        VulnClass::Unknown,
+        VulnClass::SpectreV2,
+        VulnClass::SpectreV5Ret,
+    ];
+
+    /// Position in [`VulnClass::ALL`].  The match is exhaustive, so a new
+    /// variant does not compile until it is given the next slot.
+    pub const fn index(self) -> usize {
+        match self {
+            VulnClass::SpectreV1 => 0,
+            VulnClass::SpectreV1Var => 1,
+            VulnClass::SpectreV4 => 2,
+            VulnClass::SpectreV4Var => 3,
+            VulnClass::Mds => 4,
+            VulnClass::LviNull => 5,
+            VulnClass::SpeculativeStoreEviction => 6,
+            VulnClass::Unknown => 7,
+            VulnClass::SpectreV2 => 8,
+            VulnClass::SpectreV5Ret => 9,
+        }
+    }
 }
 
 impl fmt::Display for VulnClass {

@@ -4,10 +4,9 @@ use crate::targets::Target;
 use rvz_executor::ExecutorConfig;
 use rvz_gen::GeneratorConfig;
 use rvz_model::Contract;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one fuzzing campaign (one target, one contract).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FuzzerConfig {
     /// The contract the CPU is tested against.
     pub contract: Contract,

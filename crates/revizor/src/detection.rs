@@ -9,11 +9,10 @@ use rvz_executor::{Executor, ExecutorConfig};
 use rvz_gen::InputGenerator;
 use rvz_isa::TestCase;
 use rvz_model::Contract;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Outcome of one detection-time measurement (one cell sample of Table 4).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DetectionOutcome {
     /// Whether a violation was found within the budget.
     pub found: bool,
@@ -59,7 +58,7 @@ pub fn detection_time(
 
 /// Statistics over several detection-time samples (mean and coefficient of
 /// variation, as reported in Table 4).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DetectionStats {
     /// Number of samples that found a violation.
     pub detected: usize,
@@ -213,7 +212,7 @@ pub fn first_violations_over_seeds(
 /// Aggregate of [`inputs_to_violation`] over several seeds (Table 5 reports
 /// the average over 100 experiments; the bench harness uses a configurable
 /// count).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InputCountStats {
     /// Gadget label.
     pub gadget: String,

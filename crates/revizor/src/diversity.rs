@@ -10,12 +10,11 @@
 
 use rvz_isa::IsaSubset;
 use rvz_model::{ExecutionInfo, InstrKind};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// A hazard pattern over two consecutive instructions (§5.6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Pattern {
     /// Two stores to the same address.
     StoreAfterStore,
@@ -140,7 +139,7 @@ pub fn patterns_of(info: &ExecutionInfo) -> BTreeSet<Pattern> {
 }
 
 /// Accumulated pattern coverage across a fuzzing campaign.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PatternCoverage {
     covered: BTreeSet<Pattern>,
     covered_pairs: BTreeSet<(Pattern, Pattern)>,

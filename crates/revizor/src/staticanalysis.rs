@@ -49,7 +49,6 @@
 
 use crate::targets::Target;
 use rvz_isa::{BlockId, Instr, Reg, Terminator, TestCase};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Default speculative-window bound (instructions), matching the default
@@ -132,7 +131,7 @@ impl AbsState {
 }
 
 /// What kind of speculation a source exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SourceKind {
     /// A conditional branch terminator (misprediction, V1 family).
     CondBranch,
@@ -146,6 +145,32 @@ pub enum SourceKind {
     AssistLoad,
     /// A variable-latency division feeding later speculative work.
     VarLatency,
+}
+
+impl SourceKind {
+    /// Every kind, in wire order: the binary codec writes a kind as
+    /// its position here, so new variants are appended, never inserted.
+    pub const ALL: [SourceKind; 6] = [
+        SourceKind::CondBranch,
+        SourceKind::IndirectBranch,
+        SourceKind::Return,
+        SourceKind::StoreBypass,
+        SourceKind::AssistLoad,
+        SourceKind::VarLatency,
+    ];
+
+    /// Position in [`SourceKind::ALL`].  The match is exhaustive, so a new
+    /// variant does not compile until it is given the next slot.
+    pub const fn index(self) -> usize {
+        match self {
+            SourceKind::CondBranch => 0,
+            SourceKind::IndirectBranch => 1,
+            SourceKind::Return => 2,
+            SourceKind::StoreBypass => 3,
+            SourceKind::AssistLoad => 4,
+            SourceKind::VarLatency => 5,
+        }
+    }
 }
 
 impl fmt::Display for SourceKind {
@@ -163,7 +188,7 @@ impl fmt::Display for SourceKind {
 }
 
 /// One speculation source found in a test case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpecSource {
     /// The kind of speculation.
     pub kind: SourceKind,
@@ -174,12 +199,30 @@ pub struct SpecSource {
 }
 
 /// Whether a transmitter reads or writes memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransmitterKind {
     /// A load.
     Load,
     /// A store.
     Store,
+}
+
+impl TransmitterKind {
+    /// Every kind, in wire order: the binary codec writes a kind as
+    /// its position here, so new variants are appended, never inserted.
+    pub const ALL: [TransmitterKind; 2] = [
+        TransmitterKind::Load,
+        TransmitterKind::Store,
+    ];
+
+    /// Position in [`TransmitterKind::ALL`].  The match is exhaustive, so a new
+    /// variant does not compile until it is given the next slot.
+    pub const fn index(self) -> usize {
+        match self {
+            TransmitterKind::Load => 0,
+            TransmitterKind::Store => 1,
+        }
+    }
 }
 
 impl fmt::Display for TransmitterKind {
@@ -192,7 +235,7 @@ impl fmt::Display for TransmitterKind {
 }
 
 /// A memory access whose address is data-dependent on a tainted value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transmitter {
     /// Block containing the access.
     pub block: usize,
@@ -564,7 +607,7 @@ fn window_positions(tc: &TestCase, starts: &[(usize, usize)], fuel: usize) -> Ve
 /// which transmitter, and through what kind of dependency chain.  Two
 /// violations with equal signatures are the same leak class, which lets
 /// campaigns dedup the millionth V1 against the first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GadgetSignature {
     /// The speculation source opening the window.
     pub source: SourceKind,

@@ -4,14 +4,13 @@ use rvz_executor::MeasurementMode;
 use rvz_gen::Scenario;
 use rvz_isa::IsaSubset;
 use rvz_uarch::{PredictorConfig, SpecCpu, UarchConfig};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One testing target: a CPU (with its microcode-patch state), an ISA subset
 /// for test-case generation, and an executor measurement mode — one column
 /// of Table 2.  Predictor-zoo targets (9+) additionally select non-default
 /// prediction structures and may pin generation to a scenario gadget.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Target {
     /// Target number: 1-8 as in Table 2, 9+ for the predictor zoo.
     pub id: u8,
@@ -22,9 +21,7 @@ pub struct Target {
     /// Executor measurement mode.
     pub mode: MeasurementMode,
     /// Pin the generator to a handwritten scenario gadget instead of random
-    /// programs.  `None` (all Table 2 targets, and the value pre-zoo
-    /// serialized targets decode to) keeps random generation.
-    #[serde(default)]
+    /// programs.  `None` (all Table 2 targets) keeps random generation.
     pub scenario: Option<Scenario>,
 }
 

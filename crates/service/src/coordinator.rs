@@ -63,9 +63,9 @@
 
 use crate::core::{ServiceCore, UnitDisposition, UnitGrant};
 use crate::framing;
-use rvz_bench::binfmt;
+use rvz_bench::binfmt::{self, checkpoint_transfer_from_binary};
 use rvz_bench::json::{parse, Json};
-use rvz_bench::report::{checkpoint_transfer_from_binary, CheckpointTransfer};
+use rvz_bench::report::CheckpointTransfer;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;

@@ -386,7 +386,12 @@ impl ServiceCore {
                 let units = record.units.map(|units| {
                     units
                         .into_iter()
-                        .map(|u| UnitState::new(u.target, u.phase, u.checkpoint))
+                        .map(|u| {
+                            let mut unit = UnitState::new(u.target, u.phase, u.checkpoint);
+                            // Terminal units keep no checkpoint, only the wave.
+                            unit.wave = unit.wave.max(u.wave);
+                            unit
+                        })
                         .collect()
                 });
                 state.order.push(record.job.clone());
@@ -653,6 +658,7 @@ impl ServiceCore {
                     .map(|u| UnitRecord {
                         target: u.target,
                         phase: u.phase,
+                        wave: u.wave,
                         checkpoint: u.checkpoint.clone(),
                     })
                     .collect()
@@ -1720,6 +1726,40 @@ mod tests {
         let records = Spool::open(&dir).unwrap().load_all();
         let record = records.iter().find(|r| r.job == cancelled).unwrap();
         assert_eq!(record.checkpoint.as_ref().map(|cp| cp.groups[0].next_index), Some(10));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A finished job's units report their last wave after a restart, not
+    /// 0: the terminal spool snapshot keeps each unit's wave even though
+    /// it drops the unit checkpoints.
+    #[test]
+    fn terminal_unit_waves_survive_a_restart() {
+        let dir = std::env::temp_dir()
+            .join(format!("rvz-core-test-{}-restart-waves", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config =
+            ServiceConfig { shards: 1, spool: Some(dir.clone()), ..ServiceConfig::default() };
+        let spec = JobSpec::new(7).with_budget(20).add_cell(1, "CT-SEQ").add_cell(5, "CT-SEQ");
+        let job = {
+            let core = ServiceCore::new(config.clone()).unwrap();
+            let job = core.submit(spec.clone()).unwrap();
+            while let Some(grant) = core.lease_unit("shard-0") {
+                core.drive_unit(grant);
+            }
+            assert_eq!(core.status(&job).unwrap().phase, JobPhase::Done);
+            job
+        };
+        let restarted = ServiceCore::new(config).unwrap();
+        let status = restarted.status(&job).unwrap();
+        assert_eq!(status.phase, JobPhase::Done);
+        assert_eq!(status.units.len(), 2);
+        for unit in &status.units {
+            let sub = spec.unit_matrix(unit.target).unwrap();
+            let mut run = sub.start();
+            while run.step(&mut revizor::campaign::NoopObserver) {}
+            assert!(run.wave() > 0);
+            assert_eq!(unit.wave, run.wave(), "unit t{} reports its last wave", unit.target);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

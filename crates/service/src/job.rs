@@ -173,7 +173,7 @@ impl JobSpec {
         Ok(matrix)
     }
 
-    /// Serialize the spec (the `spec` field of a `submit` request).  The
+    /// Encode the spec (the `spec` field of a `submit` request).  The
     /// tenant field is emitted only when set, so tenantless spool records
     /// and submissions keep their pre-auth shape byte-for-byte.
     pub fn to_json(&self) -> Json {
@@ -200,7 +200,7 @@ impl JobSpec {
             .field("cells", Json::Arr(cells))
     }
 
-    /// Deserialize a spec.  Only `seed` and `cells` are required; every
+    /// Decode a spec.  Only `seed` and `cells` are required; every
     /// other field falls back to the [`JobSpec::new`] default, so
     /// hand-written submissions stay short.
     ///

@@ -10,8 +10,10 @@
 //! rename) whenever a job reaches a terminal phase, the chain grows past
 //! [`COMPACT_AFTER`] records, or a restart reloads a multi-record chain.
 //!
-//! Legacy one-JSON-file-per-job records (`<job id>.json`, written by older
-//! servers) are still read, and are migrated to a binary snapshot on load.
+//! A `<job id>.json` file (the one-JSON-document-per-job record of servers
+//! that predate the binary chain) is not read: a scan skips it with one
+//! stderr line naming it and leaves it on disk.
+//!
 //! With a retention cap ([`Spool::with_retain`], `revizor-serve
 //! --spool-retain=N`) the spool also bounds its growth: once more than `N`
 //! terminal (done / cancelled) jobs sit on disk, the oldest terminal
@@ -24,8 +26,7 @@
 use crate::job::JobSpec;
 use revizor::orchestrator::MatrixCheckpoint;
 use rvz_bench::binfmt;
-use rvz_bench::json::{parse, Json};
-use rvz_bench::report::matrix_checkpoint_from_json;
+use rvz_bench::json::Json;
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::io::{self, Write};
@@ -122,6 +123,9 @@ pub struct UnitRecord {
     pub target: u8,
     /// Phase at the time of the last save.
     pub phase: UnitPhase,
+    /// Wave of the last replicated checkpoint, kept after the checkpoint
+    /// itself is dropped (terminal jobs) so `status` still reports it.
+    pub wave: usize,
     /// Last replicated sub-run checkpoint (`None` before the first wave,
     /// and again once the job is terminal — its result holds everything
     /// that remains).
@@ -205,12 +209,6 @@ impl Spool {
         self.dir.join(format!("{job}.rvz"))
     }
 
-    /// A job's legacy JSON record path (older servers; read-only here
-    /// apart from migration cleanup).
-    fn json_path(&self, job: &str) -> PathBuf {
-        self.dir.join(format!("{job}.json"))
-    }
-
     /// Persist one record: append it to the job's binary chain, or —
     /// when the job reached a terminal phase, the chain grew past
     /// [`COMPACT_AFTER`] records, or this is the first record since the
@@ -246,14 +244,11 @@ impl Spool {
         Ok(())
     }
 
-    /// Atomically replace a job's chain with one snapshot record, retiring
-    /// any legacy JSON record of the same job.
+    /// Atomically replace a job's chain with one snapshot record.
     fn write_snapshot(&self, job: &str, frame: &[u8]) -> io::Result<()> {
         let tmp = self.dir.join(format!("{job}.tmp"));
         fs::write(&tmp, frame)?;
-        fs::rename(&tmp, self.chain_path(job))?;
-        let _ = fs::remove_file(self.json_path(job));
-        Ok(())
+        fs::rename(&tmp, self.chain_path(job))
     }
 
     /// Remember a terminal job for retention pruning (oldest first).
@@ -274,7 +269,6 @@ impl Spool {
         };
         for job in pruned {
             let _ = fs::remove_file(self.chain_path(&job));
-            let _ = fs::remove_file(self.json_path(&job));
             self.chains.lock().expect("spool chains lock").remove(&job);
             eprintln!("spool: pruned terminal job {job} (past --spool-retain {retain})");
         }
@@ -284,14 +278,11 @@ impl Spool {
     /// are skipped (reported on stderr) rather than failing the whole
     /// scan; a `running` phase is demoted to `queued` — the server holding
     /// it is gone.  Multi-record and torn-tail chains are compacted to one
-    /// snapshot, legacy JSON records are migrated to binary, and the
-    /// retention cap is applied.
+    /// snapshot, and the retention cap is applied.
     pub fn load_all(&self) -> Vec<SpoolRecord> {
         let mut records = Vec::new();
         let Ok(entries) = fs::read_dir(&self.dir) else { return records };
-        // One candidate path per job, the binary chain shadowing a legacy
-        // JSON record left by an interrupted migration.
-        let mut by_job: BTreeMap<String, PathBuf> = BTreeMap::new();
+        let mut chains: BTreeMap<String, PathBuf> = BTreeMap::new();
         for path in entries.flatten().map(|e| e.path()) {
             let Some(stem) = path.file_stem().and_then(|s| s.to_str()).map(str::to_string)
             else {
@@ -299,25 +290,22 @@ impl Spool {
             };
             match path.extension() {
                 Some(e) if e == "rvz" => {
-                    by_job.insert(stem, path);
+                    chains.insert(stem, path);
                 }
                 Some(e) if e == "json" => {
-                    by_job.entry(stem).or_insert(path);
+                    eprintln!(
+                        "spool: skipping {}: JSON job records are no longer read",
+                        path.display()
+                    );
                 }
                 _ => {}
             }
         }
-        for (job, path) in by_job {
-            let loaded = if path.extension().is_some_and(|e| e == "rvz") {
-                Self::load_chain(&path)
-            } else {
-                Self::load_json(&path).map(|record| (record, true))
-            };
-            match loaded {
+        for (job, path) in chains {
+            match Self::load_chain(&path) {
                 Ok((record, compact)) => {
                     // Compaction on restart: collapse multi-record and
-                    // torn chains (and legacy JSON files) into one clean
-                    // binary snapshot.
+                    // torn chains into one clean snapshot.
                     if compact {
                         if let Err(e) = self.write_snapshot(&job, &record_frame(&record)) {
                             eprintln!("spool: could not compact {job}: {e}");
@@ -390,67 +378,6 @@ impl Spool {
         let record = last.ok_or("empty record chain")?;
         Ok((record, torn || count > 1))
     }
-
-    /// Read one legacy JSON record.
-    fn load_json(path: &Path) -> Result<SpoolRecord, String> {
-        let text = fs::read_to_string(path).map_err(|e| e.to_string())?;
-        let doc = parse(&text)?;
-        let job = doc
-            .get("job")
-            .and_then(Json::as_str)
-            .ok_or("missing `job` field")?
-            .to_string();
-        let phase = doc
-            .get("phase")
-            .and_then(Json::as_str)
-            .and_then(JobPhase::from_label)
-            .ok_or("missing or unknown `phase`")?;
-        let spec = JobSpec::from_json(doc.get("spec").ok_or("missing `spec`")?)?;
-        let checkpoint = match doc.get("checkpoint") {
-            None | Some(Json::Null) => None,
-            Some(cp) => Some(matrix_checkpoint_from_json(cp)?),
-        };
-        let units = match doc.get("units") {
-            None | Some(Json::Null) => None,
-            Some(units) => {
-                let units = units.as_array().ok_or("`units` is not an array")?;
-                let mut records = Vec::with_capacity(units.len());
-                for (i, u) in units.iter().enumerate() {
-                    let target = u
-                        .get("target")
-                        .and_then(Json::as_u64)
-                        .and_then(|t| u8::try_from(t).ok())
-                        .ok_or_else(|| format!("units[{i}] needs a target id"))?;
-                    let phase = u
-                        .get("phase")
-                        .and_then(Json::as_str)
-                        .and_then(UnitPhase::from_label)
-                        .ok_or_else(|| format!("units[{i}] has an unknown phase"))?;
-                    let checkpoint = match u.get("checkpoint") {
-                        None | Some(Json::Null) => None,
-                        Some(cp) => Some(matrix_checkpoint_from_json(cp)?),
-                    };
-                    records.push(UnitRecord { target, phase, checkpoint });
-                }
-                Some(records)
-            }
-        };
-        let result = match doc.get("result") {
-            None | Some(Json::Null) => None,
-            Some(r) => Some(r.clone()),
-        };
-        let cancel_requested =
-            doc.get("cancel_requested").and_then(Json::as_bool).unwrap_or(false);
-        Ok(demote_for_restart(SpoolRecord {
-            job,
-            spec,
-            phase,
-            checkpoint,
-            units,
-            result,
-            cancel_requested,
-        }))
-    }
 }
 
 /// Apply restart semantics to a loaded record: a `running` job means the
@@ -486,7 +413,10 @@ fn record_frame(record: &SpoolRecord) -> Vec<u8> {
                     units
                         .iter()
                         .map(|u| {
-                            Json::obj().field("target", u.target).field("phase", u.phase.label())
+                            Json::obj()
+                                .field("target", u.target)
+                                .field("phase", u.phase.label())
+                                .field("wave", u.wave)
                         })
                         .collect(),
                 )
@@ -502,7 +432,7 @@ fn record_frame(record: &SpoolRecord) -> Vec<u8> {
     for unit in record.units.iter().flatten() {
         let mut bytes = Vec::new();
         if let Some(cp) = &unit.checkpoint {
-            binfmt::enc_checkpoint(&mut bytes, cp);
+            binfmt::encode(&mut bytes, cp);
         }
         frame = frame.section(binfmt::TAG_UNIT, bytes);
     }
@@ -555,12 +485,20 @@ fn record_from_frame(bytes: &[u8]) -> Result<SpoolRecord, String> {
                     .and_then(Json::as_str)
                     .and_then(UnitPhase::from_label)
                     .ok_or_else(|| format!("units[{i}] has an unknown phase"))?;
+                // Absent in records written before terminal units kept it.
+                let wave = match u.get("wave") {
+                    None => 0,
+                    Some(w) => w
+                        .as_u64()
+                        .and_then(|w| usize::try_from(w).ok())
+                        .ok_or_else(|| format!("units[{i}] has a malformed wave"))?,
+                };
                 let checkpoint = if bytes.is_empty() {
                     None
                 } else {
-                    Some(binfmt::dec_checkpoint(&mut binfmt::Reader::new(bytes))?)
+                    Some(binfmt::decode(&mut binfmt::Reader::new(bytes))?)
                 };
-                records.push(UnitRecord { target, phase, checkpoint });
+                records.push(UnitRecord { target, phase, wave, checkpoint });
             }
             Some(records)
         }
@@ -635,9 +573,10 @@ mod tests {
                 UnitRecord {
                     target: 5,
                     phase: UnitPhase::Leased,
+                    wave: 0,
                     checkpoint: Some(sub_cp.clone()),
                 },
-                UnitRecord { target: 1, phase: UnitPhase::Done, checkpoint: None },
+                UnitRecord { target: 1, phase: UnitPhase::Done, wave: 9, checkpoint: None },
             ]),
             result: None,
             cancel_requested: false,
@@ -655,6 +594,7 @@ mod tests {
         assert_eq!(units[0].checkpoint.as_ref(), Some(&sub_cp));
         assert_eq!(units[1].target, 1);
         assert_eq!(units[1].phase, UnitPhase::Done);
+        assert_eq!(units[1].wave, 9, "a checkpoint-less unit keeps its wave");
         assert!(units[1].checkpoint.is_none());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -777,26 +717,21 @@ mod tests {
     }
 
     #[test]
-    fn legacy_json_records_load_and_migrate_to_binary() {
+    fn json_job_records_are_skipped_and_left_on_disk() {
         let dir = scratch_dir("legacy");
         fs::create_dir_all(&dir).unwrap();
-        let spec = JobSpec::new(3).add_cell(1, "CT-SEQ");
         let doc = Json::obj()
             .field("version", 1u64)
             .field("job", "j-legacy")
             .field("phase", "done")
-            .field("spec", spec.to_json())
+            .field("spec", JobSpec::new(3).add_cell(1, "CT-SEQ").to_json())
             .field("result", Json::obj().field("cells", Json::Arr(Vec::new())))
             .field("cancel_requested", false);
         fs::write(dir.join("j-legacy.json"), doc.render()).unwrap();
         let spool = Spool::open(&dir).unwrap();
-        let loaded = spool.load_all();
-        assert_eq!(loaded.len(), 1);
-        assert_eq!(loaded[0].job, "j-legacy");
-        assert_eq!(loaded[0].phase, JobPhase::Done);
-        assert_eq!(loaded[0].spec, spec);
-        assert!(dir.join("j-legacy.rvz").exists(), "legacy record migrates to binary");
-        assert!(!dir.join("j-legacy.json").exists(), "migrated JSON record is retired");
+        assert!(spool.load_all().is_empty(), "JSON job records are not read");
+        assert!(dir.join("j-legacy.json").exists(), "the skipped record stays on disk");
+        assert!(!dir.join("j-legacy.rvz").exists(), "nothing is migrated");
         let _ = fs::remove_dir_all(&dir);
     }
 

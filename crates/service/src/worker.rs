@@ -40,9 +40,8 @@ use crate::core::{start_unit, EventCollector};
 use crate::framing;
 use crate::job::JobSpec;
 use revizor::orchestrator::MatrixCheckpoint;
-use rvz_bench::binfmt;
+use rvz_bench::binfmt::{self, checkpoint_transfer_to_binary};
 use rvz_bench::json::{parse, Json};
-use rvz_bench::report::checkpoint_transfer_to_binary;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};

@@ -31,7 +31,7 @@ use revizor::fuzzer::ViolationReport;
 use revizor::orchestrator::{CellReport, MatrixReport};
 use rvz_bench::binfmt::{self, FrameBuilder, KIND_STORE_ENTRY, TAG_META};
 use rvz_bench::json::Json;
-use rvz_bench::report::test_case_to_json;
+use rvz_bench::report::to_json;
 use rvz_isa::{Reg, Width};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fs;
@@ -188,7 +188,7 @@ impl Store {
 /// violation (only violations are indexed).
 pub fn entry_for(job: &str, cell: &CellReport) -> Option<StoreEntry> {
     let v = cell.violation.as_ref()?;
-    let tc = test_case_to_json(&v.test_case);
+    let tc = to_json(&v.test_case);
     Some(StoreEntry {
         job: job.to_string(),
         target: cell.target.id,
@@ -213,13 +213,13 @@ fn unclassified() -> String {
 /// seed or sandbox layout.
 pub fn fingerprint_violation(v: &ViolationReport) -> u64 {
     let signature = v.gadget.map(|g| g.canonical()).unwrap_or_else(unclassified);
-    let canon = canonical_gadget_json(&test_case_to_json(&v.test_case)).render();
+    let canon = canonical_gadget_json(&to_json(&v.test_case)).render();
     let mut hash = fnv1a(FNV_OFFSET, signature.as_bytes());
     hash = fnv1a(hash, &[0]);
     fnv1a(hash, canon.as_bytes())
 }
 
-/// The program shape of a serialized test case ([`test_case_to_json`]
+/// The program shape of a serialized test case ([`to_json`]
 /// form): its `blocks` array with every register name replaced by `g0`,
 /// `g1`, … in first-appearance order. Origin and sandbox metadata are
 /// dropped — they describe the harness, not the gadget.
@@ -310,7 +310,7 @@ pub fn merge(entries: &[StoreEntry]) -> Vec<MergedEntry> {
     order
 }
 
-/// Serialize an entry as one `KIND_STORE_ENTRY` frame.
+/// Encode an entry as one `KIND_STORE_ENTRY` frame.
 pub fn entry_frame(entry: &StoreEntry) -> Vec<u8> {
     let meta = Json::obj()
         .field("version", 1u64)
@@ -453,7 +453,7 @@ mod tests {
     #[test]
     fn register_renaming_does_not_change_the_canonical_form() {
         // The same program shape under two register allocations: RAX/RBX
-        // vs RCX/RDX, in the serialized (test_case_to_json) form.
+        // vs RCX/RDX, in the serialized (`to_json`) form.
         let shape = |a: &str, b: &str| {
             format!(
                 r#"{{"origin":"x","sandbox":null,"blocks":[{{"id":0,"label":null,

@@ -1,14 +1,13 @@
 //! Micro-architecture configuration and CPU presets.
 
 use crate::predictors::PredictorConfig;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the simulated micro-architecture.
 ///
 /// The fields are the knobs the paper's experimental setups vary (Table 2):
 /// which CPU generation is being tested and which microcode patches are
 /// applied, plus the structural parameters of the speculation machinery.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UarchConfig {
     /// Part name used in reports.
     pub name: String,
@@ -58,9 +57,7 @@ pub struct UarchConfig {
 
     // --- prediction structures --------------------------------------------
     /// Which prediction structures the part uses (direction / indirect
-    /// target / return).  Absent in configurations serialized before the
-    /// predictor zoo existed; the default reproduces the original trio.
-    #[serde(default)]
+    /// target / return); the default reproduces the original trio.
     pub predictors: PredictorConfig,
 }
 

@@ -11,10 +11,9 @@ use rvz_isa::{
     BlockId, DecodedInstr, DecodedOp, DecodedProgram, DecodedTerm, Input, Instr, Reg, SrcOp,
     Terminator, TestCase, Width,
 };
-use serde::{Deserialize, Serialize};
 
 /// Per-run options chosen by the executor.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunOptions {
     /// Enable microcode assists: the accessed-bit of one sandbox page is
     /// cleared before the run, so the first load from that page triggers an
@@ -30,7 +29,7 @@ impl RunOptions {
 }
 
 /// Statistics reported by one run of the CPU under test.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunOutcome {
     /// Architecturally executed instructions (including terminators).
     pub executed_instructions: usize,

@@ -23,7 +23,6 @@
 //! any per-process hash seed.
 
 use rvz_isa::BlockId;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
@@ -108,7 +107,7 @@ impl Clone for Box<dyn ReturnPredictor> {
 /// the default — per-site counters make the predictor easy to mistrain
 /// through priming, which is exactly the property the paper relies on to
 /// surface Spectre V1 with few inputs (Table 5).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct BranchPredictor {
     counters: BTreeMap<u64, u8>,
     history: u64,
@@ -205,7 +204,7 @@ impl DirectionPredictor for BranchPredictor {
 // ---------------------------------------------------------------------------
 
 /// One tagged component of the TAGE predictor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct TageTable {
     /// Geometric history length of this component.
     history_len: u32,
@@ -214,7 +213,7 @@ struct TageTable {
     entries: BTreeMap<u64, TageEntry>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct TageEntry {
     tag: u64,
     /// Three-bit signed counter: 0..=7, taken when >= 4.
@@ -232,7 +231,7 @@ struct TageEntry {
 /// Because the prediction depends on the global history register, two runs
 /// that differ only in an *earlier* branch direction can predict a later
 /// branch differently — the predictor-state-dependent leak scenario.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Tage {
     base: BranchPredictor,
     tables: Vec<TageTable>,
@@ -418,7 +417,7 @@ impl DirectionPredictor for Tage {
 // Loop predictor
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct LoopEntry {
     /// Learned trip count (taken iterations before the exit).
     trip: u32,
@@ -433,7 +432,7 @@ struct LoopEntry {
 /// trip count is learned.  Once confident, it predicts *taken* for the
 /// first `trip` encounters of a traversal and *not-taken* on the exit —
 /// so an input-dependent trip count re-mistrains it every traversal.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LoopPredictor {
     loops: BTreeMap<u64, LoopEntry>,
     fallback: BranchPredictor,
@@ -506,7 +505,7 @@ impl DirectionPredictor for LoopPredictor {
 
 /// Branch target buffer for indirect jumps: predicts the last observed
 /// target of each site (the mechanism behind Spectre V2).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Btb {
     targets: BTreeMap<BranchSite, BlockId>,
 }
@@ -543,7 +542,7 @@ impl TargetPredictor for Btb {
 ///
 /// With `sets` sets and `tag_bits` tag bits, sites congruent modulo
 /// `sets << tag_bits` alias.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SetAssocBtb {
     /// Per-set ways, most recently used first: `(partial tag, target)`.
     sets: Vec<Vec<(u64, BlockId)>>,
@@ -616,7 +615,7 @@ impl TargetPredictor for SetAssocBtb {
 /// Return stack buffer: predicts return targets from a small hardware stack
 /// (the mechanism behind Spectre V5 / ret2spec).  Overflow drops the oldest
 /// entry; underflow predicts nothing.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Rsb {
     stack: VecDeque<BlockId>,
     capacity: usize,
@@ -670,7 +669,7 @@ impl Default for Rsb {
 /// entries instead of nothing.  A call chain deeper than the capacity
 /// therefore mispredicts its outermost returns toward the *newest* return
 /// sites — the deep over/underflow behaviour ret2spec exploits.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CyclicRsb {
     ring: Vec<Option<BlockId>>,
     top: usize,
@@ -721,7 +720,7 @@ impl ReturnPredictor for CyclicRsb {
 // ---------------------------------------------------------------------------
 
 /// Which conditional-direction predictor to instantiate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DirectionKind {
     /// Bimodal two-bit counters, optionally gshare-mixed with global
     /// history ([`BranchPredictor`]).
@@ -744,7 +743,7 @@ impl Default for DirectionKind {
 }
 
 /// Which indirect-target predictor to instantiate.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum TargetKind {
     /// Per-site last-target table ([`Btb`]), no aliasing.
     #[default]
@@ -762,7 +761,7 @@ pub enum TargetKind {
 }
 
 /// Which return predictor to instantiate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReturnKind {
     /// Plain stack that drops on overflow and predicts nothing on
     /// underflow ([`Rsb`]).
@@ -787,18 +786,15 @@ impl Default for ReturnKind {
 /// Selection of the three prediction structures of a
 /// [`SpecCpu`](crate::SpecCpu).  The default reproduces the paper-era
 /// behaviour exactly (bimodal without history, last-target BTB, 16-entry
-/// stack RSB), so configurations serialized before this type existed load
-/// unchanged and produce byte-identical verdicts.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// stack RSB), so targets that do not pick a predictor keep byte-identical
+/// verdicts.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PredictorConfig {
     /// Conditional-direction predictor.
-    #[serde(default)]
     pub direction: DirectionKind,
     /// Indirect-target predictor.
-    #[serde(default)]
     pub target: TargetKind,
     /// Return predictor.
-    #[serde(default)]
     pub ret: ReturnKind,
 }
 

@@ -5,10 +5,8 @@
 //! younger load to the same address may be predicted not to alias it and
 //! speculatively read the *stale* memory value from before the store.
 
-use serde::{Deserialize, Serialize};
-
 /// One in-flight store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreBufferEntry {
     /// Line-aligned address written by the store.
     pub addr: u64,
@@ -34,7 +32,7 @@ impl StoreBufferEntry {
 }
 
 /// A bounded FIFO of in-flight stores.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StoreBuffer {
     entries: Vec<StoreBufferEntry>,
     capacity: usize,

@@ -9,10 +9,9 @@
 //! (§6.3, Figure 5).
 
 use rvz_isa::Reg;
-use serde::{Deserialize, Serialize};
 
 /// Scoreboard of register/flag readiness plus the current issue cycle.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Timing {
     cycle: u64,
     reg_ready: [u64; 16],
