@@ -16,7 +16,7 @@
 //! * `arch`  — the architectural runner ([`Runner`]), no speculation;
 //! * `model` — the contract model (CT-COND-BPAS with nested speculation:
 //!   the heaviest ctrace collection loop);
-//! * `uarch` — the speculative CPU ([`SpecCpu`]) with assists enabled.
+//! * `uarch` — the speculative CPU ([`SpecCpu`](rvz_uarch::SpecCpu)) with assists enabled.
 //!
 //! Decode time is charged to the decoded side (once per program, amortized
 //! over `reps × inputs` runs — exactly how the executor and campaign use

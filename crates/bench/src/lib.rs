@@ -83,13 +83,36 @@ fn undocumented_flag(args: impl IntoIterator<Item = String>, help: &str) -> Opti
         .find(|arg| !documented.contains(&arg.split('=').next().unwrap_or(arg)))
 }
 
-/// The parsed value of a `--name=value` flag, if present and parseable.
+/// The parsed value of a `--name=value` flag, if present.  Exits with code
+/// 2 when the flag is present without a parseable `=value` (a bare
+/// `--name`, or a value that does not parse), so `--threads 2` or
+/// `--threads=x` fails loudly instead of running with the default.
 pub fn flag_value_from_args<T: std::str::FromStr>(name: &str) -> Option<T> {
-    std::env::args().skip(1).find_map(|arg| {
-        arg.strip_prefix(name)
-            .and_then(|rest| rest.strip_prefix('='))
-            .and_then(|value| value.parse().ok())
+    flag_value(std::env::args().skip(1), name).unwrap_or_else(|message| {
+        let program = std::env::args().next().unwrap_or_default();
+        let program = program.rsplit('/').next().unwrap_or_default();
+        eprintln!("{program}: {message}");
+        std::process::exit(2);
     })
+}
+
+/// Testable core of [`flag_value_from_args`].
+fn flag_value<T: std::str::FromStr>(
+    args: impl IntoIterator<Item = String>,
+    name: &str,
+) -> Result<Option<T>, String> {
+    for arg in args {
+        if arg == name {
+            return Err(format!("flag `{name}` needs a value: `{name}=VALUE`"));
+        }
+        if let Some(value) = arg.strip_prefix(name).and_then(|rest| rest.strip_prefix('=')) {
+            return match value.parse() {
+                Ok(parsed) => Ok(Some(parsed)),
+                Err(_) => Err(format!("flag `{name}` has a malformed value `{value}`")),
+            };
+        }
+    }
+    Ok(None)
 }
 
 /// The machine-readable form of a matrix run (the `table3 --json` output):
@@ -180,6 +203,22 @@ mod tests {
     fn row_formatting() {
         let r = row(&["a".into(), "bb".into()], &[3, 4]);
         assert_eq!(r, "a   | bb  ");
+    }
+
+    #[test]
+    fn value_flags_need_a_parseable_value() {
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let threads = |list: &[&str]| flag_value::<usize>(args(list), "--threads");
+        assert_eq!(threads(&["60", "--threads=2"]), Ok(Some(2)));
+        assert_eq!(threads(&["60", "--json"]), Ok(None));
+        // Another flag sharing the prefix is not this one.
+        assert_eq!(threads(&["--threadsx=2"]), Ok(None));
+        // A bare flag, e.g. `--threads 2` with the value as its own word.
+        let bare = threads(&["--threads", "2"]).unwrap_err();
+        assert!(bare.contains("`--threads` needs a value"), "{bare}");
+        let malformed = threads(&["--threads=x"]).unwrap_err();
+        assert!(malformed.contains("malformed value `x`"), "{malformed}");
+        assert!(threads(&["--threads="]).is_err());
     }
 
     #[test]

@@ -261,9 +261,9 @@ impl SeedEval {
 /// Evaluate one campaign seed with a fresh executor built from a clone of
 /// the CPU under test.
 ///
-/// This is the parallel scheduling building block of both the round driver
-/// and the matrix orchestrator: the result is a pure function of
-/// `(cpu_template, spec, seed)` — the generated test case, the input batch
+/// This is the parallel scheduling building block of the round driver
+/// ([`MatrixRun::step`](crate::MatrixRun::step)): the result is a pure
+/// function of `(cpu_template, spec, seed)` — the generated test case, the input batch
 /// and the synthetic-noise stream all derive from `seed` alone — so units
 /// can be evaluated on any worker, in any order, with identical results.
 /// The static pre-filter (when enabled) runs on the generated program
@@ -313,7 +313,8 @@ pub struct RoundEvent {
     /// Test cases discarded by the static speculation pre-filter so far in
     /// this campaign / cell group (0 when the filter is off).
     pub filtered: usize,
-    /// Generator escalations of this campaign / cell group so far (§5.6).
+    /// Generator escalations of this campaign / cell group so far (§5.6):
+    /// the count the round ran under, before its own boundary's feedback.
     /// Matrix cell groups run a fixed generator configuration unless
     /// [`CampaignMatrix::with_escalation`](crate::CampaignMatrix::with_escalation)
     /// is on, in which case this is the group's true per-target count.

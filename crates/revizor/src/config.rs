@@ -89,7 +89,7 @@ impl FuzzerConfig {
         self
     }
 
-    /// Builder: set the number of round-driver worker threads (`0` and `1`
+    /// Builder: set the number of round worker threads (`0` and `1`
     /// both mean single-threaded).
     pub fn with_parallelism(mut self, n: usize) -> FuzzerConfig {
         self.parallelism = n.max(1);

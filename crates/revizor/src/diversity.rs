@@ -10,6 +10,7 @@
 
 use rvz_isa::IsaSubset;
 use rvz_model::{ExecutionInfo, InstrKind};
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -155,7 +156,7 @@ impl PatternCoverage {
     /// effective input class, the execution info of its members.  A pattern
     /// counts as covered only if at least two inputs of the same class match
     /// it ("since a single input cannot form a counterexample", §5.6).
-    pub fn update(&mut self, class_members: &[Vec<&ExecutionInfo>]) -> bool {
+    pub fn update<I: Borrow<ExecutionInfo>>(&mut self, class_members: &[Vec<I>]) -> bool {
         let mut improved = false;
         let mut covered_in_tc: BTreeSet<Pattern> = BTreeSet::new();
         for members in class_members {
@@ -164,7 +165,7 @@ impl PatternCoverage {
             }
             let mut counts: Vec<(Pattern, usize)> = Vec::new();
             for info in members {
-                for p in patterns_of(info) {
+                for p in patterns_of(info.borrow()) {
                     match counts.iter_mut().find(|(q, _)| *q == p) {
                         Some((_, c)) => *c += 1,
                         None => counts.push((p, 1)),

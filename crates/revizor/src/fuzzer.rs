@@ -1,11 +1,19 @@
 //! The end-to-end fuzzer (Figure 2).
+//!
+//! [`Revizor`] tests one target against one contract.  Its campaign loop is
+//! not its own: [`Revizor::run`] is a one-cell run of the orchestrator's
+//! [`MatrixRun::step`](crate::MatrixRun::step), the crate's only round
+//! driver.  The campaign's seeds (`seed + index`), slate spec (its
+//! executor, noise included, and filter switches), CPU and coverage probe
+//! (its own contract, so the §5.6 feedback always runs) are data of that
+//! cell's group.  The fuzzer then reads its report off the cell and the
+//! stream as it stood at the violation.
 
-use crate::campaign::{
-    self, NoopObserver, ProgressObserver, RoundEvent, SeedEval, SlateSpec, SlateUnit,
-};
-use crate::classify::{classify, VulnClass};
+use crate::campaign::{self, NoopObserver, ProgressObserver};
+use crate::classify::VulnClass;
 use crate::config::FuzzerConfig;
 use crate::diversity::PatternCoverage;
+use crate::orchestrator::CampaignMatrix;
 use crate::staticanalysis::{self, GadgetSignature};
 use crate::targets::Target;
 use rvz_analyzer::{AnalysisResult, Analyzer, Violation};
@@ -13,9 +21,8 @@ use rvz_emu::Fault;
 use rvz_executor::Executor;
 use rvz_gen::InputGenerator;
 use rvz_isa::{Input, TestCase};
-use rvz_model::{Contract, ExecutionInfo};
-use rvz_uarch::{CpuUnderTest, SpecCpu};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use rvz_model::Contract;
+use rvz_uarch::SpecCpu;
 use std::time::{Duration, Instant};
 
 /// The result of testing one test case with one input batch.
@@ -115,32 +122,27 @@ impl FuzzReport {
 /// The Revizor fuzzer: ties the generator, model, executor, analyzer and
 /// diversity analysis into the testing loop of Figure 2.
 #[derive(Debug)]
-pub struct Revizor<C: CpuUnderTest> {
+pub struct Revizor {
     config: FuzzerConfig,
     target: Option<Target>,
-    input_gen: InputGenerator,
-    executor: Executor<C>,
+    executor: Executor<SpecCpu>,
     analyzer: Analyzer,
     coverage: PatternCoverage,
 }
 
-impl Revizor<SpecCpu> {
+impl Revizor {
     /// Convenience constructor for one of the paper's targets.
-    pub fn for_target(target: &Target, contract: Contract) -> Revizor<SpecCpu> {
+    pub fn for_target(target: &Target, contract: Contract) -> Revizor {
         let config = FuzzerConfig::for_target(target, contract);
         Revizor::new(target.cpu(), config).with_target(target.clone())
     }
-}
 
-impl<C: CpuUnderTest> Revizor<C> {
     /// Create a fuzzer around a CPU under test.
-    pub fn new(cpu: C, config: FuzzerConfig) -> Revizor<C> {
-        let input_gen = InputGenerator::new(config.generator.input_entropy_bits);
+    pub fn new(cpu: SpecCpu, config: FuzzerConfig) -> Revizor {
         let executor = Executor::new(cpu, config.executor);
         Revizor {
             config,
             target: None,
-            input_gen,
             executor,
             analyzer: Analyzer::new(),
             coverage: PatternCoverage::new(),
@@ -148,7 +150,7 @@ impl<C: CpuUnderTest> Revizor<C> {
     }
 
     /// Attach the target description (enables vulnerability classification).
-    pub fn with_target(mut self, target: Target) -> Revizor<C> {
+    pub fn with_target(mut self, target: Target) -> Revizor {
         self.target = Some(target);
         self
     }
@@ -164,7 +166,7 @@ impl<C: CpuUnderTest> Revizor<C> {
     }
 
     /// Access to the executor (and through it, the CPU under test).
-    pub fn executor_mut(&mut self) -> &mut Executor<C> {
+    pub fn executor_mut(&mut self) -> &mut Executor<SpecCpu> {
         &mut self.executor
     }
 
@@ -178,8 +180,12 @@ impl<C: CpuUnderTest> Revizor<C> {
     /// Propagates architectural faults (which generated test cases never
     /// produce).
     pub fn test_case(&mut self, tc: &TestCase, seed: u64) -> Result<TestCaseOutcome, Fault> {
-        let n = self.config.generator.inputs_per_test_case;
-        let inputs = self.input_gen.generate(tc, campaign::input_stream_seed(seed), n);
+        let generator = &self.config.generator;
+        let inputs = InputGenerator::new(generator.input_entropy_bits).generate(
+            tc,
+            campaign::input_stream_seed(seed),
+            generator.inputs_per_test_case,
+        );
         self.executor.reseed_noise(self.config.executor.noise.for_test_case_seed(seed));
         self.test_with_inputs(tc, &inputs)
     }
@@ -194,292 +200,97 @@ impl<C: CpuUnderTest> Revizor<C> {
         tc: &TestCase,
         inputs: &[Input],
     ) -> Result<TestCaseOutcome, Fault> {
-        let (outcome, class_members) =
-            evaluate_test_case(&mut self.executor, &self.analyzer, &self.config, tc, inputs)?;
-        self.absorb_coverage(&class_members);
-        Ok(outcome)
-    }
-
-    /// Feed one test case's effective-class execution metadata into the
-    /// shared pattern coverage; returns whether coverage improved.
-    fn absorb_coverage(&mut self, class_members: &[Vec<ExecutionInfo>]) -> bool {
-        let member_refs: Vec<Vec<&ExecutionInfo>> =
-            class_members.iter().map(|c| c.iter().collect()).collect();
-        self.coverage.update(&member_refs)
-    }
-}
-
-/// One evaluated test case of a round, produced by a (possibly parallel)
-/// round worker and merged by the driver in campaign order.
-struct RoundUnit {
-    seed: u64,
-    tc: TestCase,
-    outcome: TestCaseOutcome,
-    class_members: Vec<Vec<ExecutionInfo>>,
-}
-
-impl RoundUnit {
-    /// Repackage a single-contract [`SlateUnit`] into the round driver's
-    /// unit shape.
-    fn from_slate(unit: SlateUnit) -> RoundUnit {
-        let SlateUnit { seed, tc, inputs, mut outcomes } = unit;
-        let o = outcomes.pop().expect("single-contract slate");
-        RoundUnit {
-            seed,
+        let outcome = campaign::evaluate_slate(
+            &mut self.executor,
+            &self.analyzer,
+            (&self.config).into(),
+            std::slice::from_ref(&self.config.contract),
             tc,
-            outcome: TestCaseOutcome {
-                inputs,
-                analysis: o.analysis,
-                confirmed_violation: o.confirmed_violation,
-                discarded_as_artifact: o.discarded_as_artifact,
-                discarded_by_nesting: o.discarded_by_nesting,
-            },
-            class_members: o.class_members,
-        }
-    }
-}
-
-impl<C: CpuUnderTest + Clone + Send + Sync> Revizor<C> {
-    /// Evaluate the test cases with indices `range` (one testing round) and
-    /// return their results in campaign order.  With `parallelism > 1` the
-    /// test cases are fanned out across a thread pool; every worker gets a
-    /// fresh clone of the CPU under test and seeds derived only from the
-    /// test-case index, so the results are identical for any thread count.
-    fn evaluate_round(
-        &self,
-        pool: Option<&rayon::ThreadPool>,
-        range: std::ops::Range<usize>,
-    ) -> Vec<Option<SeedEval>> {
-        let spec = SlateSpec {
-            generator: self.config.generator.clone(),
-            executor: self.config.executor,
-            checks: (&self.config).into(),
-            contracts: vec![self.config.contract.clone()],
-            speculation_filter: self.config.speculation_filter,
-        };
-        let cpu_template = self.executor.cpu();
-        let seeds: Vec<(usize, u64)> =
-            range.map(|i| (i, self.config.seed.wrapping_add(i as u64))).collect();
-        let evaluate_one =
-            move |seed: u64| -> SeedEval { campaign::evaluate_seed(cpu_template, &spec, seed) };
-        let violated = |eval: &SeedEval| -> bool {
-            matches!(eval, SeedEval::Measured(u) if u.outcomes[0].confirmed_violation.is_some())
-        };
-        match pool {
-            None => {
-                // Single-threaded: evaluate lazily and stop at the first
-                // confirmed violation — the merge loop discards everything
-                // after it anyway.
-                let mut units = Vec::with_capacity(seeds.len());
-                for (_, seed) in seeds {
-                    let eval = evaluate_one(seed);
-                    let found = violated(&eval);
-                    units.push(Some(eval));
-                    if found {
-                        break;
-                    }
-                }
-                units
-            }
-            Some(pool) => {
-                // Cooperative cancellation: once some worker confirms a
-                // violation at campaign index `v`, workers skip indices
-                // `> v` — the merge loop stops at the lowest violating
-                // index, so skipped units (`None`) are never read and the
-                // results stay identical to the single-threaded path.
-                let first_violation = AtomicUsize::new(usize::MAX);
-                pool.install(|| {
-                    use rayon::prelude::*;
-                    seeds
-                        .into_par_iter()
-                        .map(|(idx, seed)| {
-                            if first_violation.load(Ordering::Relaxed) < idx {
-                                return None;
-                            }
-                            let eval = evaluate_one(seed);
-                            if violated(&eval) {
-                                first_violation.fetch_min(idx, Ordering::Relaxed);
-                            }
-                            Some(eval)
-                        })
-                        .collect()
-                })
-            }
-        }
+            inputs,
+        )?
+        .pop()
+        .expect("single-contract slate");
+        self.coverage.update(&outcome.class_members);
+        Ok(TestCaseOutcome {
+            inputs: inputs.to_vec(),
+            analysis: outcome.analysis,
+            confirmed_violation: outcome.confirmed_violation,
+            discarded_as_artifact: outcome.discarded_as_artifact,
+            discarded_by_nesting: outcome.discarded_by_nesting,
+        })
     }
 
     /// Run the fuzzing campaign until a confirmed violation is found or the
     /// test-case budget is exhausted.
     ///
     /// The campaign proceeds in testing rounds of
-    /// [`FuzzerConfig::round_size`] test cases.  Rounds are evaluated with
+    /// [`FuzzerConfig::round_size`] test cases, evaluated with
     /// [`FuzzerConfig::parallelism`] worker threads — each round's test
     /// cases are independent (fresh microarchitectural state, per-test-case
-    /// seeds), so they fan out across cores; the driver then merges the
-    /// results in campaign order, applies the diversity feedback (§5.6) at
-    /// the round boundary, and stops at the first confirmed violation.
-    /// For a fixed campaign seed the confirmed violation and all report
+    /// seeds), so they fan out across cores.  The round driver is the
+    /// orchestrator's (see the module docs): it merges the results in
+    /// campaign order and applies the diversity feedback (§5.6) at round
+    /// boundaries; the report stops at the first confirmed violation.  For
+    /// a fixed campaign seed the confirmed violation and all report
     /// counters are independent of `parallelism`.
+    ///
+    /// The campaign starts from the current generator configuration and
+    /// pattern coverage and leaves both where the violation (or the
+    /// budget) found them, so [`Revizor::config`] and [`Revizor::coverage`]
+    /// read the escalated state afterwards.
     pub fn run(&mut self) -> FuzzReport {
         self.run_with_observer(&mut NoopObserver)
     }
 
     /// Run the fuzzing campaign (see [`Revizor::run`]), reporting a
-    /// [`RoundEvent`] to `observer` at every completed testing round.
-    /// Events are emitted from the driving thread in campaign order and do
-    /// not affect the campaign's results.
+    /// [`RoundEvent`](crate::RoundEvent) to `observer` at every completed
+    /// testing round (the round a violation cuts short included) and a
+    /// [`CellEvent`](crate::CellEvent) when the campaign finishes.  Events
+    /// are emitted from the driving thread in campaign order and do not
+    /// affect the campaign's results.
     pub fn run_with_observer(&mut self, observer: &mut dyn ProgressObserver) -> FuzzReport {
         let start = Instant::now();
-        // The pool is only needed (and only spawns worker threads) for
-        // multi-threaded campaigns.
-        let pool = (self.config.parallelism > 1).then(|| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(self.config.parallelism)
-                .build()
-                .expect("failed to spawn fuzzing worker threads")
+        // Without a target the run still needs one for its cell: a stand-in
+        // with this CPU, whose classification is dropped below.
+        let target = self.target.clone().unwrap_or_else(|| Target {
+            id: 0,
+            cpu_config: self.executor.cpu().config().clone(),
+            isa: self.config.generator.isa,
+            mode: self.config.executor.mode,
+            scenario: None,
         });
-        let mut test_cases = 0usize;
-        let mut generated = 0usize;
-        let mut statically_filtered = 0usize;
-        let mut total_inputs = 0usize;
-        let mut rounds = 0usize;
-        let mut escalations = 0usize;
-        let mut effectiveness_sum = 0.0f64;
-        let mut round_improved = false;
-        let mut coverage_level = 1usize;
-        let mut violation: Option<ViolationReport> = None;
-
-        // `round_size` is a public config field; clamp so a zero value
-        // cannot stall the campaign loop.
-        let round_size = self.config.round_size.max(1);
-        let mut round_start = 0usize;
-        'campaign: while round_start < self.config.max_test_cases {
-            let round_end = (round_start + round_size).min(self.config.max_test_cases);
-            let units = self.evaluate_round(pool.as_ref(), round_start..round_end);
-
-            for eval in units.into_iter().flatten() {
-                generated += 1;
-                let unit = match eval {
-                    SeedEval::Filtered => {
-                        statically_filtered += 1;
-                        continue;
-                    }
-                    SeedEval::Faulted => continue,
-                    SeedEval::Measured(u) => RoundUnit::from_slate(*u),
-                };
-                let RoundUnit { seed, tc, outcome, class_members } = unit;
-                round_improved |= self.absorb_coverage(&class_members);
-                test_cases += 1;
-                total_inputs += outcome.inputs.len();
-                effectiveness_sum += outcome.analysis.stats.effectiveness();
-
-                if let Some(v) = outcome.confirmed_violation {
-                    let vulnerability = match &self.target {
-                        Some(t) => classify(t, &self.config.contract, &tc),
-                        None => VulnClass::Unknown,
-                    };
-                    let gadget = staticanalysis::gadget_class(&tc, self.target.as_ref());
-                    violation = Some(ViolationReport {
-                        test_case: tc,
-                        inputs: outcome.inputs,
-                        violation: v,
-                        contract: self.config.contract.clone(),
-                        test_case_seed: seed,
-                        vulnerability,
-                        gadget,
-                        test_cases_until_detection: test_cases,
-                        inputs_until_detection: total_inputs,
-                    });
-                    break 'campaign;
-                }
-            }
-
-            // Every round that runs to completion counts — including a
-            // final partial one (budget not a multiple of the round size).
-            // A round cut short by a confirmed violation is not counted:
-            // the campaign stops mid-round (`break 'campaign` above).
-            rounds += 1;
-            observer.round_completed(&RoundEvent {
-                target_id: self.target.as_ref().map(|t| t.id),
-                round: rounds,
-                test_cases,
-                filtered: statically_filtered,
-                escalations,
-            });
-
-            // Round boundary: diversity feedback (§5.6).  The generator is
-            // escalated when the current coverage goal is met (all single
-            // patterns, then all pattern pairs) or when a whole round went
-            // by without improving coverage.  A final partial round has no
-            // boundary, so it never escalates the generator.
-            if round_end.is_multiple_of(round_size) {
-                let isa = self.config.generator.isa;
-                let goal_met = match coverage_level {
-                    1 => self.coverage.all_single_covered(isa),
-                    _ => self.coverage.all_pairs_covered(isa),
-                };
-                if goal_met || !round_improved {
-                    if goal_met {
-                        coverage_level += 1;
-                    }
-                    self.config.generator.escalate();
-                    self.input_gen = InputGenerator::new(self.config.generator.input_entropy_bits);
-                    escalations += 1;
-                }
-                round_improved = false;
-            }
-            round_start = round_end;
+        let coverage = std::mem::take(&mut self.coverage);
+        let (cell, stop) = CampaignMatrix::run_campaign(
+            &self.config,
+            target,
+            self.executor.cpu().clone(),
+            coverage,
+            observer,
+        );
+        self.config.generator = stop.generator;
+        self.coverage = stop.coverage.clone();
+        let mut violation = cell.violation;
+        if let (None, Some(v)) = (&self.target, &mut violation) {
+            v.vulnerability = VulnClass::Unknown;
+            v.gadget = staticanalysis::gadget_class(&v.test_case, None);
         }
-
         FuzzReport {
             violation,
-            test_cases,
-            generated,
-            statically_filtered,
-            total_inputs,
-            rounds,
-            escalations,
+            test_cases: cell.test_cases,
+            generated: stop.generated,
+            statically_filtered: cell.filtered,
+            total_inputs: cell.total_inputs,
+            rounds: stop.rounds,
+            escalations: stop.escalations,
             duration: start.elapsed(),
-            mean_effectiveness: if test_cases == 0 {
+            mean_effectiveness: if cell.test_cases == 0 {
                 0.0
             } else {
-                effectiveness_sum / test_cases as f64
+                stop.effectiveness_ratios / cell.test_cases as f64
             },
-            coverage: self.coverage.clone(),
+            coverage: stop.coverage,
         }
     }
-}
-
-/// The per-test-case pipeline with a single contract: a thin wrapper over
-/// the slate-based [`campaign::evaluate_slate`] (which collects hardware
-/// traces once and can check them against whole contract slates).
-fn evaluate_test_case<C: CpuUnderTest>(
-    executor: &mut Executor<C>,
-    analyzer: &Analyzer,
-    config: &FuzzerConfig,
-    tc: &TestCase,
-    inputs: &[Input],
-) -> Result<(TestCaseOutcome, Vec<Vec<ExecutionInfo>>), Fault> {
-    let outcome = campaign::evaluate_slate(
-        executor,
-        analyzer,
-        config.into(),
-        std::slice::from_ref(&config.contract),
-        tc,
-        inputs,
-    )?
-    .pop()
-    .expect("single-contract slate");
-    Ok((
-        TestCaseOutcome {
-            inputs: inputs.to_vec(),
-            analysis: outcome.analysis,
-            confirmed_violation: outcome.confirmed_violation,
-            discarded_as_artifact: outcome.discarded_as_artifact,
-            discarded_by_nesting: outcome.discarded_by_nesting,
-        },
-        outcome.class_members,
-    ))
 }
 
 #[cfg(test)]

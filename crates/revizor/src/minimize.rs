@@ -17,7 +17,6 @@
 
 use crate::fuzzer::Revizor;
 use rvz_isa::{Input, Instr, TestCase};
-use rvz_uarch::CpuUnderTest;
 
 /// A minimized counterexample.
 #[derive(Debug, Clone)]
@@ -60,9 +59,9 @@ impl Postprocessor {
     ///
     /// `fuzzer` must be configured with the same contract and executor mode
     /// that produced the violation.
-    pub fn minimize<C: CpuUnderTest>(
+    pub fn minimize(
         &self,
-        fuzzer: &mut Revizor<C>,
+        fuzzer: &mut Revizor,
         test_case: &TestCase,
         inputs: &[Input],
     ) -> MinimizedViolation {
@@ -174,7 +173,7 @@ mod tests {
     use rvz_gen::InputGenerator;
     use rvz_model::Contract;
 
-    fn v1_fuzzer() -> Revizor<rvz_uarch::SpecCpu> {
+    fn v1_fuzzer() -> Revizor {
         let target = Target::target5();
         let config = FuzzerConfig::for_target(&target, Contract::ct_seq())
             .with_executor(ExecutorConfig::fast(target.mode).with_repetitions(2));

@@ -53,16 +53,31 @@
 //! By default cell groups run a **fixed** generator configuration (the
 //! mid-campaign parameters the detection harnesses use).  With
 //! [`CampaignMatrix::with_escalation`] the §5.6 diversity feedback drives
-//! each group: pattern coverage is measured on a dedicated CT-SEQ *coverage
-//! probe* appended to every slate, so the escalation decisions — and with
-//! them the shared test-case stream — depend only on the target, never on
-//! which contracts happen to share the group.  Composition- and
-//! parallelism-invariance are preserved (and tested) in both modes.
+//! each group: pattern coverage is measured on a CT-SEQ *coverage probe*
+//! that rides every slate (an active CT-SEQ cell doubles as the probe;
+//! per-contract outcomes do not depend on the slate), so the escalation
+//! decisions — and with them the shared test-case stream — depend only on
+//! the target, never on which contracts happen to share the group.
+//! Composition- and parallelism-invariance are preserved (and tested) in
+//! both modes.
+//!
+//! # One driver
+//!
+//! [`MatrixRun::step`] is the only testing loop of the crate: a single
+//! campaign ([`Revizor::run`](crate::Revizor::run)) is a one-cell run of
+//! it.  What differs between the two is data each cell group carries, not
+//! code: how a stream index becomes a test-case seed (the matrix mixes
+//! seed, target id and index; a campaign counts up from its seed), the
+//! slate template (the matrix's fast executor and both filters; the
+//! campaign's own executor, noise included, and filter switches), the CPU
+//! under test, and the coverage probe (none, CT-SEQ under
+//! [`CampaignMatrix::with_escalation`], or the campaign's own contract).
 //!
 //! [`Executor::collect_htraces`]: rvz_executor::Executor::collect_htraces
 
 use crate::campaign::{self, CellEvent, NoopObserver, ProgressObserver, RoundEvent, SeedEval, SlateChecks, SlateSpec};
 use crate::classify::{classify, VulnClass};
+use crate::config::FuzzerConfig;
 use crate::diversity::PatternCoverage;
 use crate::fuzzer::ViolationReport;
 use crate::staticanalysis;
@@ -70,7 +85,7 @@ use crate::targets::Target;
 use rvz_analyzer::EffectivenessStats;
 use rvz_executor::ExecutorConfig;
 use rvz_gen::GeneratorConfig;
-use rvz_model::{Contract, ExecutionInfo};
+use rvz_model::Contract;
 use rvz_uarch::SpecCpu;
 use std::time::{Duration, Instant};
 
@@ -192,8 +207,8 @@ pub struct GroupProgress {
     pub total_inputs: usize,
     /// Per-cell summed input-effectiveness statistics, indexed like the
     /// group's cells (discovery order); unfinished cells keep accumulating
-    /// after a resume.  Empty in checkpoints taken before this field
-    /// existed.
+    /// after a resume.  A checkpoint with one entry per cell is required
+    /// to resume.
     pub effectiveness: Vec<EffectivenessStats>,
     /// Completed rounds.
     pub round: usize,
@@ -512,34 +527,29 @@ impl CampaignMatrix {
 
     /// Group the matrix cells by target, in discovery order.
     fn build_groups(&self) -> Vec<Group> {
-        let mut groups: Vec<Group> = Vec::new();
-        for (cell_idx, cell) in self.cells.iter().enumerate() {
-            let gc = GroupCell {
-                cell_idx,
-                contract: cell.contract.clone(),
-                effectiveness: EffectivenessStats::default(),
-                report: None,
-            };
-            match groups.iter_mut().find(|g| g.target == cell.target) {
-                Some(g) => g.cells.push(gc),
-                None => groups.push(Group {
-                    generator: self.base_generator(&cell.target),
-                    target: cell.target.clone(),
-                    cells: vec![gc],
-                    next_index: 0,
-                    test_cases: 0,
-                    filtered: 0,
-                    total_inputs: 0,
-                    round: 0,
-                    work: Duration::ZERO,
-                    coverage: PatternCoverage::new(),
-                    coverage_level: 1,
-                    round_improved: false,
-                    escalations: 0,
-                }),
-            }
-        }
-        groups
+        self.group_layout()
+            .into_iter()
+            .map(|(target, indices)| {
+                let spec = SlateSpec {
+                    generator: self.base_generator(&target),
+                    executor: ExecutorConfig::fast(target.mode).with_repetitions(self.repetitions),
+                    checks: SlateChecks::all(),
+                    contracts: Vec::new(),
+                    speculation_filter: self.speculation_filter,
+                };
+                // The coverage probe: pattern coverage is always measured
+                // on CT-SEQ so escalation decisions depend only on the
+                // target, never on the group's contract composition.
+                let probe = self.escalation.then(Contract::ct_seq);
+                let seeds = Seeds::PerTarget { matrix_seed: self.seed, target_id: target.id };
+                let mut group = Group::new(None, target, seeds, spec, probe);
+                group.cells = indices
+                    .into_iter()
+                    .map(|i| GroupCell::new(i, self.cells[i].contract.clone()))
+                    .collect();
+                group
+            })
+            .collect()
     }
 
     /// Start an incremental run of the matrix (see [`MatrixRun`]).
@@ -547,15 +557,49 @@ impl CampaignMatrix {
         MatrixRun::with_groups(self, self.build_groups())
     }
 
-    /// Resume an incremental run from a [`MatrixCheckpoint`].  The
-    /// checkpoint must come from a matrix with the same seed, budget,
-    /// round size, escalation mode and cell list; the resumed run replays
-    /// the identical stream suffix, so its verdicts are byte-identical to
-    /// an uninterrupted run.
-    ///
-    /// # Errors
-    /// Returns a message when the checkpoint does not match this matrix.
-    pub fn resume(&self, checkpoint: &MatrixCheckpoint) -> Result<MatrixRun<'_>, String> {
+    /// Run one campaign — the engine of [`Revizor::run`](crate::Revizor::run)
+    /// — as a one-cell run over `target` and `cpu`.  The group draws the
+    /// campaign's seeds (`config.seed + index`), evaluates with its slate
+    /// spec (executor, noise, filter switches), probes coverage on the
+    /// campaign's own contract and starts from `config.generator` and
+    /// `coverage`.  Returns the closed cell and the stream as it stood when
+    /// the cell finished.
+    pub(crate) fn run_campaign(
+        config: &FuzzerConfig,
+        target: Target,
+        cpu: SpecCpu,
+        coverage: PatternCoverage,
+        observer: &mut dyn ProgressObserver,
+    ) -> (CellReport, CellStop) {
+        let mut matrix = CampaignMatrix::new(config.seed)
+            .with_round_size(config.round_size)
+            .with_parallelism(config.parallelism)
+            .add_cell(target.clone(), config.contract.clone());
+        // Not `with_budget`, which clamps: a zero budget runs nothing.
+        matrix.budget = config.max_test_cases;
+        let spec = SlateSpec {
+            generator: config.generator.clone(),
+            executor: config.executor,
+            checks: config.into(),
+            contracts: Vec::new(),
+            speculation_filter: config.speculation_filter,
+        };
+        let seeds = Seeds::Sequential(config.seed);
+        let mut group = Group::new(Some(cpu), target, seeds, spec, Some(config.contract.clone()));
+        group.coverage = coverage;
+        group.cells.push(GroupCell::new(0, config.contract.clone()));
+        let mut run = MatrixRun::with_groups(&matrix, vec![group]);
+        while run.step(observer) {}
+        run.close(observer);
+        let cell = run.groups.pop().and_then(|mut g| g.cells.pop()).expect("the campaign cell");
+        (cell.report.expect("closed"), cell.stop.expect("closed"))
+    }
+
+    /// Check that `checkpoint` was taken on this matrix: same seed, budget,
+    /// round size, escalation mode, configuration digest and cell list,
+    /// and one group progress per target group with that group's target
+    /// and one effectiveness sum per cell.  Returns the group layout.
+    fn validate(&self, checkpoint: &MatrixCheckpoint) -> Result<Vec<(Target, Vec<usize>)>, String> {
         if checkpoint.seed != self.seed {
             return Err(format!(
                 "checkpoint seed {} does not match matrix seed {}",
@@ -582,32 +626,51 @@ impl CampaignMatrix {
                 self.cells.len()
             ));
         }
-        let mut groups = self.build_groups();
-        if checkpoint.groups.len() != groups.len() {
+        let layout = self.group_layout();
+        if checkpoint.groups.len() != layout.len() {
             return Err(format!(
                 "checkpoint has {} groups, matrix has {}",
                 checkpoint.groups.len(),
-                groups.len()
+                layout.len()
             ));
         }
-        for (group, progress) in groups.iter_mut().zip(&checkpoint.groups) {
-            if group.target.id != progress.target_id {
+        for ((target, indices), progress) in layout.iter().zip(&checkpoint.groups) {
+            if target.id != progress.target_id {
                 return Err(format!(
                     "checkpoint group targets {} where the matrix has {}",
-                    progress.target_id, group.target.id
+                    progress.target_id, target.id
                 ));
             }
+            if progress.effectiveness.len() != indices.len() {
+                return Err(format!(
+                    "checkpoint group for target {} has {} effectiveness sums for {} cells",
+                    target.id,
+                    progress.effectiveness.len(),
+                    indices.len()
+                ));
+            }
+        }
+        Ok(layout)
+    }
+
+    /// Resume an incremental run from a [`MatrixCheckpoint`].  The
+    /// checkpoint must come from a matrix with the same seed, budget,
+    /// round size, escalation mode and cell list; the resumed run replays
+    /// the identical stream suffix, so its verdicts are byte-identical to
+    /// an uninterrupted run.
+    ///
+    /// # Errors
+    /// Returns a message when the checkpoint does not match this matrix.
+    pub fn resume(&self, checkpoint: &MatrixCheckpoint) -> Result<MatrixRun<'_>, String> {
+        self.validate(checkpoint)?;
+        let mut groups = self.build_groups();
+        for (group, progress) in groups.iter_mut().zip(&checkpoint.groups) {
             group.next_index = progress.next_index;
             group.test_cases = progress.test_cases;
             group.filtered = progress.filtered;
             group.total_inputs = progress.total_inputs;
-            // Per-cell effectiveness sums (empty in pre-filter checkpoints,
-            // which never carried them — the sums then restart from zero,
-            // matching what such a checkpoint's writer reported).
-            if progress.effectiveness.len() == group.cells.len() {
-                for (gc, eff) in group.cells.iter_mut().zip(&progress.effectiveness) {
-                    gc.effectiveness = *eff;
-                }
+            for (gc, eff) in group.cells.iter_mut().zip(&progress.effectiveness) {
+                gc.effectiveness = *eff;
             }
             group.round = progress.round;
             group.work = progress.work;
@@ -617,9 +680,15 @@ impl CampaignMatrix {
             group.escalations = progress.escalations;
             // `GeneratorConfig::escalate` is a pure function of the
             // configuration, so replaying it recovers the exact generator
-            // state the checkpointed run had reached.
+            // state the checkpointed run had reached.  It has a fixed point
+            // (every size at its cap), so stop there: a checkpoint claiming
+            // absurdly many escalations must not spin.
             for _ in 0..progress.escalations {
-                group.generator.escalate();
+                let before = group.spec.generator.clone();
+                group.spec.generator.escalate();
+                if group.spec.generator == before {
+                    break;
+                }
             }
             for gc in &mut group.cells {
                 if let Some(progress) = checkpoint.cells[gc.cell_idx].as_ref() {
@@ -659,7 +728,7 @@ impl CampaignMatrix {
     /// group discovery order.  Each sub-matrix carries the same seed,
     /// budget and configuration, so its work units draw the *identical*
     /// seeds the full matrix would schedule for that group
-    /// ([`unit_seed`] depends only on the matrix seed, the target id and
+    /// (a unit's seed depends only on the matrix seed, the target id and
     /// the stream index) — sub-runs are relocatable across hosts by
     /// construction.  Drive them independently (possibly on different
     /// machines), then recombine with [`Self::merge_checkpoints`] /
@@ -688,15 +757,15 @@ impl CampaignMatrix {
             config_digest: self.config_digest(),
             cells: self.cells.iter().map(|_| None).collect(),
             groups: self
-                .build_groups()
+                .group_layout()
                 .iter()
-                .map(|g| GroupProgress {
-                    target_id: g.target.id,
+                .map(|(target, indices)| GroupProgress {
+                    target_id: target.id,
                     next_index: 0,
                     test_cases: 0,
                     filtered: 0,
                     total_inputs: 0,
-                    effectiveness: g.cells.iter().map(|_| EffectivenessStats::default()).collect(),
+                    effectiveness: indices.iter().map(|_| EffectivenessStats::default()).collect(),
                     round: 0,
                     work: Duration::ZERO,
                     escalations: 0,
@@ -722,60 +791,23 @@ impl CampaignMatrix {
         &self,
         checkpoint: &MatrixCheckpoint,
     ) -> Result<Vec<MatrixCheckpoint>, String> {
-        if checkpoint.seed != self.seed {
-            return Err(format!(
-                "checkpoint seed {} does not match matrix seed {}",
-                checkpoint.seed, self.seed
-            ));
-        }
-        if checkpoint.budget != self.budget || checkpoint.round_size != self.round_size {
-            return Err("checkpoint budget/round size does not match the matrix".to_string());
-        }
-        if checkpoint.escalation != self.escalation {
-            return Err("checkpoint escalation mode does not match the matrix".to_string());
-        }
-        if checkpoint.config_digest != self.config_digest() {
-            return Err("checkpoint configuration does not match the matrix".to_string());
-        }
-        if checkpoint.cells.len() != self.cells.len() {
-            return Err(format!(
-                "checkpoint has {} cells, matrix has {}",
-                checkpoint.cells.len(),
-                self.cells.len()
-            ));
-        }
-        let layout = self.group_layout();
-        if checkpoint.groups.len() != layout.len() {
-            return Err(format!(
-                "checkpoint has {} groups, matrix has {}",
-                checkpoint.groups.len(),
-                layout.len()
-            ));
-        }
+        let layout = self.validate(checkpoint)?;
         let subs = self.group_matrices();
-        layout
+        Ok(layout
             .iter()
             .zip(&subs)
             .zip(&checkpoint.groups)
-            .map(|(((target, indices), sub), progress)| {
-                if target.id != progress.target_id {
-                    return Err(format!(
-                        "checkpoint group targets {} where the matrix has {}",
-                        progress.target_id, target.id
-                    ));
-                }
-                Ok(MatrixCheckpoint {
-                    wave: progress.round,
-                    seed: self.seed,
-                    budget: self.budget,
-                    round_size: self.round_size,
-                    escalation: self.escalation,
-                    config_digest: sub.config_digest(),
-                    cells: indices.iter().map(|&i| checkpoint.cells[i].clone()).collect(),
-                    groups: vec![progress.clone()],
-                })
+            .map(|(((_, indices), sub), progress)| MatrixCheckpoint {
+                wave: progress.round,
+                seed: self.seed,
+                budget: self.budget,
+                round_size: self.round_size,
+                escalation: self.escalation,
+                config_digest: sub.config_digest(),
+                cells: indices.iter().map(|&i| checkpoint.cells[i].clone()).collect(),
+                groups: vec![progress.clone()],
             })
-            .collect()
+            .collect())
     }
 
     /// Merge per-group sub-checkpoints (one per [`Self::group_matrices`]
@@ -944,13 +976,80 @@ struct GroupCell {
     /// Summed effectiveness statistics of the cell's measured test cases
     /// (accumulation stops when the cell finishes).
     effectiveness: EffectivenessStats,
+    /// Sum of the per-test-case effectiveness ratios of the same test cases
+    /// (what a campaign averages; in memory only, so it restarts at zero
+    /// on resume).
+    effectiveness_ratios: f64,
     report: Option<CellReport>,
+    stop: Option<CellStop>,
+}
+
+impl GroupCell {
+    fn new(cell_idx: usize, contract: Contract) -> GroupCell {
+        GroupCell {
+            cell_idx,
+            contract,
+            effectiveness: EffectivenessStats::default(),
+            effectiveness_ratios: 0.0,
+            report: None,
+            stop: None,
+        }
+    }
+}
+
+/// The group's stream as it stood when a cell finished — the counters a
+/// single campaign reports, which stop at its violation while the group's
+/// keep counting to the end of the round.  In memory only: checkpoints do
+/// not carry it.
+#[derive(Debug, Clone)]
+pub(crate) struct CellStop {
+    /// Stream test cases generated, filtered ones included.
+    pub(crate) generated: usize,
+    /// Completed rounds, not counting the one the cell finished in.
+    pub(crate) rounds: usize,
+    /// Generator escalations so far.
+    pub(crate) escalations: usize,
+    /// Pattern coverage of the group's probe so far.
+    pub(crate) coverage: PatternCoverage,
+    /// The group's generator configuration.
+    pub(crate) generator: GeneratorConfig,
+    /// The cell's summed per-test-case effectiveness ratios.
+    pub(crate) effectiveness_ratios: f64,
+}
+
+/// How a group's stream index becomes a test-case seed.
+#[derive(Debug, Clone, Copy)]
+enum Seeds {
+    /// [`unit_seed`] of the matrix seed, the target id and the index: a
+    /// per-target stream, whatever else the matrix holds.
+    PerTarget { matrix_seed: u64, target_id: u8 },
+    /// `base + index`: the stream of a single campaign.
+    Sequential(u64),
+}
+
+impl Seeds {
+    fn at(self, index: usize) -> u64 {
+        match self {
+            Seeds::PerTarget { matrix_seed, target_id } => unit_seed(matrix_seed, target_id, index),
+            Seeds::Sequential(base) => base.wrapping_add(index as u64),
+        }
+    }
 }
 
 /// A cell group mid-run: one target's shared test-case stream and the cells
 /// riding it.
 struct Group {
     target: Target,
+    /// The CPU under test, built for the group's first round; every work
+    /// unit measures on a fresh clone.
+    cpu: Option<SpecCpu>,
+    seeds: Seeds,
+    /// The slate template: each round fills in the contracts.  Its
+    /// generator is group-local (grown by escalation).
+    spec: SlateSpec,
+    /// The contract whose outcomes drive the §5.6 coverage feedback;
+    /// `None` keeps the generator fixed.
+    probe: Option<Contract>,
     cells: Vec<GroupCell>,
     next_index: usize,
     test_cases: usize,
@@ -960,8 +1059,6 @@ struct Group {
     round: usize,
     /// Accumulated unit-evaluation time of this group's stream.
     work: Duration,
-    /// Group-local generator configuration (grown by escalation).
-    generator: GeneratorConfig,
     coverage: PatternCoverage,
     coverage_level: usize,
     round_improved: bool,
@@ -969,8 +1066,73 @@ struct Group {
 }
 
 impl Group {
+    /// A group with no cells and no progress.
+    fn new(
+        cpu: Option<SpecCpu>,
+        target: Target,
+        seeds: Seeds,
+        spec: SlateSpec,
+        probe: Option<Contract>,
+    ) -> Group {
+        Group {
+            target,
+            cpu,
+            seeds,
+            spec,
+            probe,
+            cells: Vec::new(),
+            next_index: 0,
+            test_cases: 0,
+            filtered: 0,
+            total_inputs: 0,
+            round: 0,
+            work: Duration::ZERO,
+            coverage: PatternCoverage::new(),
+            coverage_level: 1,
+            round_improved: false,
+            escalations: 0,
+        }
+    }
+
     fn active_cells(&self) -> Vec<usize> {
         (0..self.cells.len()).filter(|&ci| self.cells[ci].report.is_none()).collect()
+    }
+
+    /// Finish cell `ci` at the stream's current position.
+    fn close_cell(
+        &mut self,
+        ci: usize,
+        violation: Option<ViolationReport>,
+        elapsed: Duration,
+        observer: &mut dyn ProgressObserver,
+    ) {
+        let cell = &mut self.cells[ci];
+        observer.cell_finished(&CellEvent {
+            target_id: self.target.id,
+            contract: cell.contract.clone(),
+            found: violation.is_some(),
+            vulnerability: violation.as_ref().map(|v| v.vulnerability),
+            test_cases: self.test_cases,
+            elapsed,
+        });
+        cell.report = Some(CellReport {
+            target: self.target.clone(),
+            contract: cell.contract.clone(),
+            violation,
+            test_cases: self.test_cases,
+            filtered: self.filtered,
+            total_inputs: self.total_inputs,
+            effectiveness: cell.effectiveness,
+            detection_time: self.work,
+        });
+        cell.stop = Some(CellStop {
+            generated: self.next_index,
+            rounds: self.round,
+            escalations: self.escalations,
+            coverage: self.coverage.clone(),
+            generator: self.spec.generator.clone(),
+            effectiveness_ratios: cell.effectiveness_ratios,
+        });
     }
 }
 
@@ -1041,33 +1203,31 @@ impl<'m> MatrixRun<'m> {
         let mut wave: Vec<(usize, u64)> = Vec::new();
         let mut wave_specs: Vec<Option<SlateSpec>> = self.groups.iter().map(|_| None).collect();
         let mut wave_cells: Vec<Vec<usize>> = self.groups.iter().map(|_| Vec::new()).collect();
+        let mut wave_probes: Vec<Option<usize>> = self.groups.iter().map(|_| None).collect();
         let mut wave_counts: Vec<usize> = self.groups.iter().map(|_| 0).collect();
-        for (gi, group) in self.groups.iter().enumerate() {
+        for (gi, group) in self.groups.iter_mut().enumerate() {
             let active = group.active_cells();
             if active.is_empty() || group.next_index >= matrix.budget {
                 continue;
             }
+            group.cpu.get_or_insert_with(|| group.target.cpu());
             let end = (group.next_index + round_size).min(matrix.budget);
             let mut contracts: Vec<Contract> =
                 active.iter().map(|&ci| group.cells[ci].contract.clone()).collect();
-            if matrix.escalation {
-                // The coverage probe: pattern coverage is always measured
-                // on CT-SEQ so escalation decisions depend only on the
-                // target, never on the group's contract composition.
-                contracts.push(Contract::ct_seq());
-            }
-            wave_specs[gi] = Some(SlateSpec {
-                generator: group.generator.clone(),
-                executor: ExecutorConfig::fast(group.target.mode)
-                    .with_repetitions(matrix.repetitions),
-                checks: SlateChecks::all(),
-                contracts,
-                speculation_filter: matrix.speculation_filter,
+            // The probe rides the slate: a cell of the probe's contract
+            // doubles as the probe (per-contract outcomes do not depend on
+            // the slate), otherwise it is appended.
+            wave_probes[gi] = group.probe.as_ref().map(|probe| {
+                contracts.iter().position(|c| c == probe).unwrap_or_else(|| {
+                    contracts.push(probe.clone());
+                    contracts.len() - 1
+                })
             });
+            wave_specs[gi] = Some(SlateSpec { contracts, ..group.spec.clone() });
             wave_cells[gi] = active;
             wave_counts[gi] = end - group.next_index;
             for index in group.next_index..end {
-                wave.push((gi, unit_seed(matrix.seed, group.target.id, index)));
+                wave.push((gi, group.seeds.at(index)));
             }
         }
         if wave.is_empty() {
@@ -1079,12 +1239,12 @@ impl<'m> MatrixRun<'m> {
         // evaluation time is recorded so cells can report their group's
         // attributed cost rather than matrix-wide wall clock.
         let specs = &wave_specs;
-        let cpus: Vec<SpecCpu> = self.groups.iter().map(|g| g.target.cpu()).collect();
-        let cpus = &cpus;
+        let groups = &self.groups;
         let eval = move |(gi, seed): (usize, u64)| -> (usize, SeedEval, Duration) {
             let spec = specs[gi].as_ref().expect("scheduled group has a spec");
             let t0 = Instant::now();
-            let unit = campaign::evaluate_seed(&cpus[gi], spec, seed);
+            let cpu = groups[gi].cpu.as_ref().expect("scheduled group has a CPU");
+            let unit = campaign::evaluate_seed(cpu, spec, seed);
             (gi, unit, t0.elapsed())
         };
         let units: Vec<(usize, SeedEval, Duration)> = match &self.pool {
@@ -1119,68 +1279,54 @@ impl<'m> MatrixRun<'m> {
                 };
                 group.test_cases += 1;
                 group.total_inputs += unit.inputs.len();
-                if matrix.escalation {
-                    // The probe outcome rides at the end of the slate.
-                    let probe = unit.outcomes.last().expect("probe contract scheduled");
-                    group.round_improved |= absorb_coverage(&mut group.coverage, &probe.class_members);
+                if let Some(k) = wave_probes[gi] {
+                    group.round_improved |= group.coverage.update(&unit.outcomes[k].class_members);
                 }
-                for (k, ci) in wave_cells[gi].iter().enumerate() {
+                for (k, &ci) in wave_cells[gi].iter().enumerate() {
                     let outcome = &unit.outcomes[k];
-                    let cell = &mut group.cells[*ci];
+                    let cell = &mut group.cells[ci];
                     if cell.report.is_some() {
                         continue;
                     }
                     cell.effectiveness.merge(&outcome.analysis.stats);
-                    if outcome.confirmed_violation.is_none() {
+                    cell.effectiveness_ratios += outcome.analysis.stats.effectiveness();
+                    let Some(violation) = &outcome.confirmed_violation else {
                         continue;
-                    }
+                    };
                     // First confirmed violation for this cell: the cell
                     // finishes; later stream test cases no longer count
                     // toward it.
-                    let vulnerability = classify(&group.target, &outcome.contract, &unit.tc);
-                    let gadget = staticanalysis::gadget_class(&unit.tc, Some(&group.target));
                     let violation = ViolationReport {
                         test_case: unit.tc.clone(),
                         inputs: unit.inputs.clone(),
-                        violation: outcome
-                            .confirmed_violation
-                            .clone()
-                            .expect("checked above"),
+                        violation: violation.clone(),
                         contract: outcome.contract.clone(),
                         test_case_seed: unit.seed,
-                        vulnerability,
-                        gadget,
+                        vulnerability: classify(&group.target, &outcome.contract, &unit.tc),
+                        gadget: staticanalysis::gadget_class(&unit.tc, Some(&group.target)),
                         test_cases_until_detection: group.test_cases,
                         inputs_until_detection: group.total_inputs,
                     };
-                    observer.cell_finished(&CellEvent {
-                        target_id: group.target.id,
-                        contract: outcome.contract.clone(),
-                        found: true,
-                        vulnerability: Some(vulnerability),
-                        test_cases: group.test_cases,
-                        elapsed: self.start.elapsed(),
-                    });
-                    cell.report = Some(CellReport {
-                        target: group.target.clone(),
-                        contract: outcome.contract.clone(),
-                        violation: Some(violation),
-                        test_cases: group.test_cases,
-                        filtered: group.filtered,
-                        total_inputs: group.total_inputs,
-                        effectiveness: cell.effectiveness,
-                        detection_time: group.work,
-                    });
+                    group.close_cell(ci, Some(violation), self.start.elapsed(), observer);
                 }
             }
             cursor += scheduled;
             group.round += 1;
+            observer.round_completed(&RoundEvent {
+                target_id: Some(group.target.id),
+                round: group.round,
+                test_cases: group.test_cases,
+                filtered: group.filtered,
+                escalations: group.escalations,
+            });
 
-            // Round boundary: diversity feedback (§5.6), mirroring the
-            // single-campaign fuzzer.  Only full rounds have a boundary; a
-            // final partial round never escalates.
-            if matrix.escalation && group.next_index.is_multiple_of(round_size) {
-                let isa = group.target.isa;
+            // Round boundary: diversity feedback (§5.6).  The generator is
+            // escalated when the current coverage goal is met (all single
+            // patterns, then all pattern pairs) or when a whole round went
+            // by without improving coverage.  Only full rounds have a
+            // boundary; a final partial round never escalates.
+            if group.probe.is_some() && group.next_index.is_multiple_of(round_size) {
+                let isa = group.spec.generator.isa;
                 let goal_met = match group.coverage_level {
                     1 => group.coverage.all_single_covered(isa),
                     _ => group.coverage.all_pairs_covered(isa),
@@ -1189,19 +1335,11 @@ impl<'m> MatrixRun<'m> {
                     if goal_met {
                         group.coverage_level += 1;
                     }
-                    group.generator.escalate();
+                    group.spec.generator.escalate();
                     group.escalations += 1;
                 }
                 group.round_improved = false;
             }
-
-            observer.round_completed(&RoundEvent {
-                target_id: Some(group.target.id),
-                round: group.round,
-                test_cases: group.test_cases,
-                filtered: group.filtered,
-                escalations: group.escalations,
-            });
         }
         true
     }
@@ -1253,34 +1391,24 @@ impl<'m> MatrixRun<'m> {
         }
     }
 
+    /// Close every cell still open (budget exhausted, or the run was
+    /// abandoned early) without a violation, with a `cell_finished` event
+    /// each.
+    fn close(&mut self, observer: &mut dyn ProgressObserver) {
+        for group in &mut self.groups {
+            for ci in 0..group.cells.len() {
+                if group.cells[ci].report.is_none() {
+                    group.close_cell(ci, None, self.start.elapsed(), observer);
+                }
+            }
+        }
+    }
+
     /// Close the run and assemble the report.  Cells still open (budget
     /// exhausted, or the run was abandoned early) are reported without a
     /// violation, with a `cell_finished` event each.
     pub fn finish(mut self, observer: &mut dyn ProgressObserver) -> MatrixReport {
-        for group in &mut self.groups {
-            for cell in &mut group.cells {
-                if cell.report.is_none() {
-                    observer.cell_finished(&CellEvent {
-                        target_id: group.target.id,
-                        contract: cell.contract.clone(),
-                        found: false,
-                        vulnerability: None,
-                        test_cases: group.test_cases,
-                        elapsed: self.start.elapsed(),
-                    });
-                    cell.report = Some(CellReport {
-                        target: group.target.clone(),
-                        contract: cell.contract.clone(),
-                        violation: None,
-                        test_cases: group.test_cases,
-                        filtered: group.filtered,
-                        total_inputs: group.total_inputs,
-                        effectiveness: cell.effectiveness,
-                        detection_time: group.work,
-                    });
-                }
-            }
-        }
+        self.close(observer);
 
         // Reassemble the reports in cell insertion order.
         let test_cases = self.groups.iter().map(|g| g.test_cases).sum();
@@ -1301,14 +1429,6 @@ impl<'m> MatrixRun<'m> {
             duration: self.start.elapsed(),
         }
     }
-}
-
-/// Feed one test case's effective-class execution metadata into a coverage
-/// accumulator; returns whether coverage improved.
-fn absorb_coverage(coverage: &mut PatternCoverage, class_members: &[Vec<ExecutionInfo>]) -> bool {
-    let member_refs: Vec<Vec<&ExecutionInfo>> =
-        class_members.iter().map(|c| c.iter().collect()).collect();
-    coverage.update(&member_refs)
 }
 
 /// The campaign seed of one (target, test-case index) work unit: a
@@ -1630,6 +1750,41 @@ mod tests {
                 ],
             );
         assert!(swapped_contract.resume(&snapshot).is_err());
+    }
+
+    #[test]
+    fn resume_rejects_checkpoints_without_per_cell_effectiveness() {
+        let matrix = small_matrix(1);
+        let mut run = matrix.start();
+        run.step(&mut NoopObserver);
+        let mut snapshot = run.checkpoint();
+        drop(run);
+        snapshot.groups[0].effectiveness.clear();
+        let err = match matrix.resume(&snapshot) {
+            Err(e) => e,
+            Ok(_) => panic!("a group without per-cell effectiveness sums must be rejected"),
+        };
+        assert!(err.contains("effectiveness"), "{err}");
+        assert!(matrix.split_checkpoint(&snapshot).is_err());
+    }
+
+    #[test]
+    fn resume_stops_escalating_at_the_generator_fixed_point() {
+        // A checkpoint claiming `usize::MAX` escalations (a hand-edited
+        // spool, a corrupt transfer) resumes promptly: twenty escalations
+        // already reach the fixed point where every size is capped.
+        let matrix = small_matrix(1).with_escalation(true);
+        let generator_after = |escalations: usize| {
+            let mut snapshot = matrix.initial_checkpoint();
+            snapshot.groups[0].escalations = escalations;
+            let run = matrix.resume(&snapshot).expect("checkpoint matches");
+            run.groups[0].spec.generator.clone()
+        };
+        let capped = generator_after(20);
+        let mut again = capped.clone();
+        again.escalate();
+        assert_eq!(again, capped, "20 escalations reach the fixed point");
+        assert_eq!(generator_after(usize::MAX), capped);
     }
 
     /// Observer that records the escalation counter of every round event.

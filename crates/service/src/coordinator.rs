@@ -21,7 +21,7 @@
 //! ```
 //!
 //! Jobs split into **relocatable work units** (one per target group; see
-//! [`ServiceCore::lease_unit`]).  Workers join at runtime (`register`),
+//! `ServiceCore::lease_unit`).  Workers join at runtime (`register`),
 //! ask for work (`lease`), and drive one unit at a time; a job's units can
 //! run on different hosts concurrently and the final report is
 //! reconstructed from their merged sub-checkpoints, byte-identical to an
@@ -46,7 +46,7 @@
 //! ## Failure handling
 //!
 //! * **Worker dies / connection drops** — its leased unit is released
-//!   ([`ServiceCore::release_unit`]) and re-leased to the next idle
+//!   (`ServiceCore::release_unit`) and re-leased to the next idle
 //!   worker at the unit's last replicated sub-checkpoint.
 //! * **Worker goes slow** — an idle worker **steals**: a unit without an
 //!   accepted checkpoint for [`steal_after`](crate::ServiceConfig::steal_after)

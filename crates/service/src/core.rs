@@ -8,7 +8,7 @@
 //! placement).  Unit drivers lease units through one lease API —
 //! in-process shard threads and remote fleet workers (through
 //! [`crate::coordinator`]) alike — step each one
-//! as an incremental [`MatrixRun`](revizor::orchestrator::MatrixRun),
+//! as an incremental [`MatrixRun`],
 //! replicate a sub-checkpoint to the spool after every wave and publish
 //! progress events to the job's event log.  Subscribers (watchers) replay
 //! that log from any cursor, so late subscribers see the full history and

@@ -33,7 +33,7 @@ pub struct JobSpec {
     /// Generator instruction count.
     pub instructions: usize,
     /// Branch-then-load placement bias (see
-    /// [`rvz_gen::GeneratorConfig::branch_then_load_bias`]).
+    /// [`revizor::CampaignMatrix::with_branch_then_load_bias`]).
     pub branch_then_load_bias: bool,
     /// §5.6 diversity escalation per cell group.
     pub escalation: bool,

@@ -17,7 +17,7 @@
 //! * [`analyzer`] (`rvz-analyzer`) — the relational analysis;
 //! * [`revizor`] — the fuzzer, targets, gadgets, minimizer and detection
 //!   harnesses;
-//! * [`bench`] (`rvz-bench`) — experiment regeneration, the hand-rolled
+//! * [`mod@bench`] (`rvz-bench`) — experiment regeneration, the hand-rolled
 //!   JSON tree and the report export/import codecs;
 //! * [`store`] (`rvz-store`) — the indexed violation store
 //!   (`revizor-query`);
