@@ -263,9 +263,10 @@ impl SeedEval {
 ///
 /// This is the parallel scheduling building block of the round driver
 /// ([`MatrixRun::step`](crate::MatrixRun::step)): the result is a pure
-/// function of `(cpu_template, spec, seed)` — the generated test case, the input batch
-/// and the synthetic-noise stream all derive from `seed` alone — so units
-/// can be evaluated on any worker, in any order, with identical results.
+/// function of `(cpu_template, spec, seed)` — the generated test case, the
+/// input batch and the synthetic-noise stream all derive from `seed` alone
+/// — so units can be evaluated on any worker, in any order, with identical
+/// results.
 /// The static pre-filter (when enabled) runs on the generated program
 /// before input generation, so filtered seeds cost only the program
 /// generation; because every unit is independent, skipping one cannot
