@@ -16,7 +16,7 @@
 //! * `arch`  — the architectural runner ([`Runner`]), no speculation;
 //! * `model` — the contract model (CT-COND-BPAS with nested speculation:
 //!   the heaviest ctrace collection loop);
-//! * `uarch` — the speculative CPU ([`SpecCpu`](rvz_uarch::SpecCpu)) with assists enabled.
+//! * `uarch` — the speculative CPU ([`SpecCpu`]) with assists enabled.
 //!
 //! Decode time is charged to the decoded side (once per program, amortized
 //! over `reps × inputs` runs — exactly how the executor and campaign use
@@ -24,14 +24,25 @@
 //! through both paths and compared; `verdicts_identical` in the output is
 //! that comparison, asserted in-binary.  A speedup that changes verdicts is
 //! a bug, not a result.
+//!
+//! A fourth section, `executor`, times whole hardware-trace collections
+//! over the same workload at [`ExecutorConfig::fast`] and
+//! [`ExecutorConfig::paper`]: the executor as it runs (replaying
+//! repetitions once the CPU's carried state repeats) against the same CPU
+//! behind a wrapper that hides that state and so forces the full warm-up +
+//! repetition schedule.  It reports scheduled and simulated passes and both
+//! timings; `executor.traces_identical` (traces and priming-swap verdicts
+//! of both executors) is asserted in-binary the same way.
 
 use rvz_bench::json::Json;
 use rvz_bench::{flag_from_args, flag_value_from_args};
-use rvz_emu::Runner;
+use rvz_cache::Cache;
+use rvz_emu::{Fault, Runner};
+use rvz_executor::{Executor, ExecutorConfig};
 use rvz_gen::{GeneratorConfig, InputGenerator, ProgramGenerator};
 use rvz_isa::{DecodedProgram, Input, TestCase};
 use rvz_model::{Contract, ContractModel};
-use rvz_uarch::{CpuUnderTest, RunOptions};
+use rvz_uarch::{CpuUnderTest, RunOptions, RunOutcome, SpecCpu};
 use std::time::{Duration, Instant};
 
 const HELP: &str = "emu_throughput: write the emulator inner-loop perf trajectory to BENCH_emu.json
@@ -40,7 +51,8 @@ usage: emu_throughput [options]
 
   --out=PATH       output file (default BENCH_emu.json)
   --programs=N     generated programs per section (default 8)
-  --reps=N         timed repetitions of the whole workload (default: per-section)
+  --reps=N         timed repetitions of the whole workload (default: per-section;
+                   the executor's paper configuration runs N/10, at least 1)
   -h, --help       this text
 ";
 
@@ -288,6 +300,140 @@ fn bench_uarch(
     (section(instructions * reps as u64, reference, decoded, checksum), identical)
 }
 
+/// A [`SpecCpu`] that keeps [`CpuUnderTest::carried_state`]'s default, so
+/// an executor around it cannot tell when its state repeats and runs every
+/// scheduled pass.
+struct FullScheduleCpu(SpecCpu);
+
+impl CpuUnderTest for FullScheduleCpu {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn run(&mut self, tc: &TestCase, input: &Input, opts: &RunOptions) -> Result<RunOutcome, Fault> {
+        self.0.run(tc, input, opts)
+    }
+
+    fn run_decoded(
+        &mut self,
+        prog: &DecodedProgram,
+        input: &Input,
+        opts: &RunOptions,
+    ) -> Result<RunOutcome, Fault> {
+        self.0.run_decoded(prog, input, opts)
+    }
+
+    fn cache_mut(&mut self) -> &mut Cache {
+        self.0.cache_mut()
+    }
+
+    fn reset_uarch(&mut self) {
+        self.0.reset_uarch();
+    }
+}
+
+/// Time one collection of every program through `executor`, adding the
+/// elapsed time to `total` and folding the traces into `checksum` so the
+/// work cannot be optimized away.
+fn time_collections<C: CpuUnderTest>(
+    executor: &mut Executor<C>,
+    programs: &[(DecodedProgram, &[Input])],
+    total: &mut Duration,
+    checksum: &mut u64,
+) {
+    let start = Instant::now();
+    for (prog, inputs) in programs {
+        if let Ok(traces) = executor.collect_htraces_decoded(prog, inputs) {
+            for t in traces {
+                *checksum = checksum
+                    .wrapping_mul(31)
+                    .wrapping_add(t.sets().bits() ^ u64::from(t.samples()));
+            }
+        }
+    }
+    *total += start.elapsed();
+}
+
+/// One executor configuration: identity first (traces of every program and
+/// a priming-swap check of its first and last input, on both executors),
+/// then `reps` timed collections of the workload on each.
+fn bench_executor_config(
+    programs: &[(DecodedProgram, &[Input])],
+    target: &revizor::targets::Target,
+    cfg: ExecutorConfig,
+    reps: usize,
+) -> (Json, bool) {
+    let mut replaying = Executor::new(target.cpu(), cfg);
+    let mut full = Executor::new(FullScheduleCpu(target.cpu()), cfg);
+    let mut identical = true;
+    for (prog, inputs) in programs {
+        let traces = replaying.collect_htraces_decoded(prog, inputs);
+        identical &= traces == full.collect_htraces_decoded(prog, inputs);
+        if let Ok(baseline) = traces {
+            let last = inputs.len() - 1;
+            identical &= replaying.is_measurement_artifact_decoded(prog, inputs, &baseline, 0, last)
+                == full.is_measurement_artifact_decoded(prog, inputs, &baseline, 0, last);
+        }
+    }
+
+    // The two executors alternate per repetition, so host-load drift hits
+    // both sides alike.
+    let mut replaying = Executor::new(target.cpu(), cfg);
+    let mut full = Executor::new(FullScheduleCpu(target.cpu()), cfg);
+    let (mut full_time, mut replaying_time) = (Duration::ZERO, Duration::ZERO);
+    let (mut full_sum, mut replaying_sum) = (0u64, 0u64);
+    for _ in 0..reps {
+        time_collections(&mut full, programs, &mut full_time, &mut full_sum);
+        time_collections(&mut replaying, programs, &mut replaying_time, &mut replaying_sum);
+    }
+    identical &= full_sum == replaying_sum;
+    let json = Json::obj()
+        .field("repetitions", cfg.repetitions as u64)
+        .field("warmup_rounds", cfg.warmup_rounds as u64)
+        .field("reps", reps as u64)
+        .field("scheduled_passes", full.simulated_passes())
+        .field("simulated_passes", replaying.simulated_passes())
+        .field(
+            "simulated_share",
+            replaying.simulated_passes() as f64 / full.simulated_passes() as f64,
+        )
+        .field("full_ms", ms(full_time))
+        .field("replaying_ms", ms(replaying_time))
+        .field("speedup", full_time.as_secs_f64() / replaying_time.as_secs_f64())
+        .field("checksum", replaying_sum);
+    (json, identical)
+}
+
+/// Executor: whole hardware-trace collections (priming, measurement,
+/// merge) at the fast and the paper configuration, replaying against the
+/// full schedule.
+fn bench_executor(
+    cases: &[(TestCase, Vec<Input>)],
+    target: &revizor::targets::Target,
+    reps: usize,
+) -> (Json, bool) {
+    let programs: Vec<(DecodedProgram, &[Input])> = cases
+        .iter()
+        .map(|(tc, inputs)| {
+            (DecodedProgram::decode(tc).expect("generated programs decode"), inputs.as_slice())
+        })
+        .collect();
+    let (fast, fast_ok) =
+        bench_executor_config(&programs, target, ExecutorConfig::fast(target.mode), reps);
+    let (paper, paper_ok) = bench_executor_config(
+        &programs,
+        target,
+        ExecutorConfig::paper(target.mode),
+        (reps / 10).max(1),
+    );
+    let identical = fast_ok && paper_ok;
+    let json = Json::obj()
+        .field("fast", fast)
+        .field("paper", paper)
+        .field("traces_identical", identical);
+    (json, identical)
+}
+
 fn main() {
     if flag_from_args("--help") || flag_from_args("-h") {
         print!("{HELP}");
@@ -306,6 +452,7 @@ fn main() {
     let arch_reps = reps_override.unwrap_or(400);
     let model_reps = reps_override.unwrap_or(200);
     let uarch_reps = reps_override.unwrap_or(60);
+    let executor_reps = reps_override.unwrap_or(80);
 
     eprintln!("emu_throughput: timing the architectural runner...");
     let (arch, arch_ok) = bench_arch(&cases, arch_reps);
@@ -313,6 +460,8 @@ fn main() {
     let (model, model_ok) = bench_model(&cases, model_reps);
     eprintln!("emu_throughput: timing the speculative CPU ({})...", target.cpu().name());
     let (uarch, uarch_ok) = bench_uarch(&cases, &target, uarch_reps);
+    eprintln!("emu_throughput: timing the executor (replaying vs full schedule)...");
+    let (executor, executor_ok) = bench_executor(&cases, &target, executor_reps);
 
     let identical = arch_ok && model_ok && uarch_ok;
     assert!(
@@ -320,6 +469,7 @@ fn main() {
         "decoded loop diverged from the reference interpreter \
          (arch={arch_ok} model={model_ok} uarch={uarch_ok})"
     );
+    assert!(executor_ok, "the replaying executor diverged from the full schedule");
 
     let doc = Json::obj()
         .field("bench", "emu")
@@ -334,11 +484,13 @@ fn main() {
                 .field("target", target.cpu().name())
                 .field("arch_reps", arch_reps as u64)
                 .field("model_reps", model_reps as u64)
-                .field("uarch_reps", uarch_reps as u64),
+                .field("uarch_reps", uarch_reps as u64)
+                .field("executor_reps", executor_reps as u64),
         )
         .field("arch", arch)
         .field("model", model)
         .field("uarch", uarch)
+        .field("executor", executor)
         .field("verdicts_identical", identical);
     std::fs::write(&out, format!("{}\n", doc.render_pretty())).expect("bench file written");
     eprintln!("emu_throughput: wrote {out}");

@@ -247,13 +247,33 @@ impl Cache {
         self.sets[set].iter().map(|l| l.tag).collect()
     }
 
+    /// Append the cache contents to `out`: for every set in index order,
+    /// its line count, then the tag and LRU age of each line in position
+    /// order.
+    ///
+    /// The export is self-delimiting, so two caches of one geometry export
+    /// equal sequences exactly when their contents are equal — tags, ages
+    /// and line order, which decides LRU tie-breaks.  The
+    /// [`accesses`](Cache::accesses)/[`misses`](Cache::misses) statistics
+    /// are not contents and are left out.
+    pub fn export_contents(&self, out: &mut Vec<u64>) {
+        for set in &self.sets {
+            out.push(set.len() as u64);
+            out.extend(set.iter().flat_map(|l| [l.tag, u64::from(l.age)]));
+        }
+    }
+
     /// Total accesses performed.
+    ///
+    /// A statistic, not state: an executor that replays converged
+    /// repetitions instead of re-running them counts only simulated runs.
     pub fn accesses(&self) -> u64 {
         self.accesses
     }
 
     /// Total misses observed (the quantity the paper reads from the L1D
-    /// miss performance counter during probing, §5.3).
+    /// miss performance counter during probing, §5.3).  Like
+    /// [`accesses`](Cache::accesses), it counts only simulated runs.
     pub fn misses(&self) -> u64 {
         self.misses
     }
@@ -463,6 +483,38 @@ mod tests {
         assert_eq!(hits_slow, hits_fast);
         assert_eq!(hits_fast, 2);
         assert_eq!(a.sets[0], b.sets[0], "hit ages refreshed identically");
+    }
+
+    #[test]
+    fn export_covers_line_order_and_ages_but_not_counters() {
+        let cfg = CacheConfig::tiny(2, 2);
+        let export = |c: &Cache| {
+            let mut out = Vec::new();
+            c.export_contents(&mut out);
+            out
+        };
+        let mut a = Cache::new(cfg);
+        let mut b = Cache::new(cfg);
+        a.prime_set(0, &[10, 12]);
+        b.prime_set(0, &[10, 12]);
+        assert_eq!(export(&a), export(&b));
+
+        // Statistics only: equal contents, different counters.
+        b.probe_access(12 * 64);
+        b.prime_set(0, &[10, 12]);
+        assert_ne!(a.accesses(), b.accesses());
+        assert_eq!(export(&a), export(&b));
+
+        // The same lines with the same ages, in a different order.
+        let mut c = a.clone();
+        c.sets[0].reverse();
+        assert_eq!(c.set_tags(0), vec![12, 10]);
+        assert_ne!(export(&a), export(&c));
+
+        // Same lines, different age.
+        let mut d = a.clone();
+        d.sets[0][0].age += 1;
+        assert_ne!(export(&a), export(&d));
     }
 
     #[test]

@@ -24,6 +24,15 @@ pub const ATTACKER_BASE: u64 = 0xF000_0000;
 /// Channels are stateful so they can cache derived data (attacker address
 /// lists, victim line lists) across measurements; [`reset`](SideChannel::reset)
 /// clears the measurement state without discarding those caches.
+///
+/// **Purity.** What [`prepare`](SideChannel::prepare) does to the cache and
+/// what [`measure`](SideChannel::measure) returns (and does to the cache)
+/// must be a function of the cache contents and the channel's
+/// configuration alone, never of earlier measurements.  The executor relies
+/// on it to replay a repetition whose starting CPU state it has already
+/// measured from.  [`PrimeProbe`], [`FlushReload`] and [`EvictReload`] are
+/// pure: their only mutable state is derived data and a `primed` flag that
+/// no result reads.
 pub trait SideChannel: std::fmt::Debug {
     /// Human-readable name (e.g. `P+P`).
     fn name(&self) -> &'static str;

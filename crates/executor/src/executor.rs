@@ -17,6 +17,12 @@ pub struct ExecutorConfig {
     pub mode: MeasurementMode,
     /// Number of measurement rounds per input sequence (the paper repeats
     /// each measurement 50 times).
+    ///
+    /// Every round contributes one sample per input, but not every round
+    /// is re-run: with noise off, once a round starts and ends in the same
+    /// carried CPU state (see [`CpuUnderTest::carried_state`]), the rounds
+    /// after it would reproduce it sample for sample, so they are replayed
+    /// from its samples instead of simulated.
     pub repetitions: usize,
     /// Warm-up rounds executed before recording starts.
     pub warmup_rounds: usize,
@@ -77,8 +83,8 @@ impl Default for ExecutorConfig {
     }
 }
 
-/// Reusable per-executor measurement state: the side channel and the
-/// per-input sample buffers.
+/// Reusable per-executor measurement state: the side channel, the
+/// per-input sample buffers and the carried-state snapshot buffers.
 ///
 /// Constructing a boxed channel and growing fresh sample vectors for every
 /// single measurement used to dominate `collect_htraces`; the session is
@@ -94,6 +100,11 @@ struct MeasurementSession {
     /// Per-input sample buffers, cleared (but not deallocated) per
     /// collection.
     samples: Vec<Vec<SetVector>>,
+    /// The CPU's carried state at the start and at the end of the current
+    /// measured pass (see `Executor::collect_into_session`), overwritten
+    /// per pass and never deallocated.
+    pass_start: Vec<u64>,
+    pass_end: Vec<u64>,
 }
 
 impl MeasurementSession {
@@ -118,7 +129,13 @@ impl MeasurementSession {
             SideChannelKind::FlushReload => Box::new(FlushReload::new(sandbox.base, sandbox.size())),
             SideChannelKind::EvictReload => Box::new(EvictReload::new(sandbox.base, sandbox.size())),
         };
-        MeasurementSession { key: Self::key_for(kind, tc), channel, samples: Vec::new() }
+        MeasurementSession {
+            key: Self::key_for(kind, tc),
+            channel,
+            samples: Vec::new(),
+            pass_start: Vec::new(),
+            pass_end: Vec::new(),
+        }
     }
 
     /// Clear the sample buffers for a fresh collection over `inputs` inputs,
@@ -155,6 +172,8 @@ pub struct Executor<C: CpuUnderTest> {
     noise_rng: SmallRng,
     session: Option<MeasurementSession>,
     collections: u64,
+    simulated_passes: u64,
+    replayed_passes: u64,
 }
 
 impl<C: CpuUnderTest> Executor<C> {
@@ -166,6 +185,8 @@ impl<C: CpuUnderTest> Executor<C> {
             noise_rng: SmallRng::seed_from_u64(config.noise.seed),
             session: None,
             collections: 0,
+            simulated_passes: 0,
+            replayed_passes: 0,
         }
     }
 
@@ -189,6 +210,22 @@ impl<C: CpuUnderTest> Executor<C> {
     /// warm-up + repetition schedule over one priming sequence).
     pub fn collection_count(&self) -> u64 {
         self.collections
+    }
+
+    /// Warm-up and measured passes over an input sequence actually run on
+    /// the CPU so far.  Together with
+    /// [`replayed_passes`](Executor::replayed_passes) this sums to every
+    /// pass scheduled.  Observability only: no verdict or checkpoint reads
+    /// it.
+    pub fn simulated_passes(&self) -> u64 {
+        self.simulated_passes
+    }
+
+    /// Measured passes replayed from a converged pass instead of run (see
+    /// [`ExecutorConfig::repetitions`]).  Observability only, like
+    /// [`simulated_passes`](Executor::simulated_passes).
+    pub fn replayed_passes(&self) -> u64 {
+        self.replayed_passes
     }
 
     /// Replace the noise model and restart its stream from the new seed.
@@ -305,6 +342,14 @@ impl<C: CpuUnderTest> Executor<C> {
 
     /// The warm-up + repetition schedule of one collection, filling the
     /// session's per-input sample buffers.
+    ///
+    /// A measured pass is a deterministic function of the CPU's carried
+    /// state at its start when noise is off and the side channel is pure
+    /// (see [`SideChannel`]).  So when a pass ends in the exact state it
+    /// started from, every remaining pass would repeat it sample for
+    /// sample and leave the same state behind: its samples are pushed once
+    /// per remaining pass and the schedule stops.  A CPU that does not
+    /// export its state runs the full schedule.
     fn collect_into_session(
         &mut self,
         session: &mut MeasurementSession,
@@ -315,13 +360,36 @@ impl<C: CpuUnderTest> Executor<C> {
             for input in inputs {
                 let _ = self.measure_once(session.channel.as_mut(), prog, input)?;
             }
+            self.simulated_passes += 1;
         }
-        for _ in 0..self.config.repetitions.max(1) {
+        let repetitions = self.config.repetitions.max(1);
+        let mut replayable = repetitions > 1 && !self.config.noise.is_enabled() && {
+            session.pass_start.clear();
+            self.cpu.carried_state(&mut session.pass_start)
+        };
+        for pass in 1..=repetitions {
             for (i, input) in inputs.iter().enumerate() {
                 if let Some(sets) = self.measure_once(session.channel.as_mut(), prog, input)? {
                     session.samples[i].push(sets);
                 }
             }
+            self.simulated_passes += 1;
+            let remaining = repetitions - pass;
+            if !replayable || remaining == 0 {
+                continue;
+            }
+            session.pass_end.clear();
+            replayable = self.cpu.carried_state(&mut session.pass_end);
+            if replayable && session.pass_end == session.pass_start {
+                for samples in &mut session.samples {
+                    // Noise is off, so every pass pushed one sample.
+                    let last = *samples.last().expect("a sample per input and pass");
+                    samples.extend(std::iter::repeat_n(last, remaining));
+                }
+                self.replayed_passes += remaining as u64;
+                break;
+            }
+            std::mem::swap(&mut session.pass_start, &mut session.pass_end);
         }
         Ok(())
     }
@@ -725,6 +793,47 @@ mod tests {
         ex.restore_noise_checkpoint(&mark);
         let replay = ex.collect_htraces(&tc, &inputs).unwrap();
         assert_eq!(first, replay);
+    }
+
+    #[test]
+    fn noise_free_collection_replays_converged_passes() {
+        let tc = direct_load_tc();
+        let inputs =
+            vec![input_with(&tc, |i| i.set_reg(Reg::Rax, 0x80)), input_with(&tc, |i| i.set_reg(Reg::Rax, 0x800))];
+        let cfg = ExecutorConfig::paper(MeasurementMode::prime_probe());
+        let mut ex = executor(cfg);
+        let traces = ex.collect_htraces(&tc, &inputs).unwrap();
+        assert!(ex.replayed_passes() > 0, "a straight-line load converges at once");
+        let scheduled = (cfg.warmup_rounds + cfg.repetitions) as u64;
+        assert_eq!(ex.simulated_passes() + ex.replayed_passes(), scheduled);
+        // Replayed passes still contribute their samples.
+        let mut one_pass = cfg;
+        one_pass.repetitions = 1;
+        let single = executor(one_pass).collect_htraces(&tc, &inputs).unwrap();
+        for (t, s) in traces.iter().zip(&single) {
+            assert_eq!(t.sets(), s.sets());
+        }
+    }
+
+    #[test]
+    fn noisy_executor_never_replays() {
+        let tc = direct_load_tc();
+        let inputs = vec![input_with(&tc, |i| i.set_reg(Reg::Rax, 0x80))];
+        // Noise that never fires still draws from the stream per sample,
+        // so the schedule must run in full.
+        let noise = NoiseConfig { one_off_probability: 1e-12, smi_probability: 0.0, seed: 1 };
+        assert!(noise.is_enabled());
+        let cfg = ExecutorConfig::fast(MeasurementMode::prime_probe())
+            .with_repetitions(20)
+            .with_noise(noise);
+        let mut ex = executor(cfg);
+        ex.collect_htraces(&tc, &inputs).unwrap();
+        assert_eq!(ex.replayed_passes(), 0);
+        assert_eq!(ex.simulated_passes(), (cfg.warmup_rounds + 20) as u64);
+
+        let mut quiet = executor(cfg.with_noise(NoiseConfig::none()));
+        quiet.collect_htraces(&tc, &inputs).unwrap();
+        assert!(quiet.replayed_passes() > 0, "the same schedule replays without noise");
     }
 
     #[test]

@@ -28,6 +28,13 @@
 //! ([`Executor::is_measurement_artifact`]) takes the already-collected
 //! baseline traces, so it re-measures only the two swapped sequences.
 //!
+//! With noise off, repetitions past a fixed point are replayed, not re-run:
+//! when a measured pass ends in the CPU state it started from (compared
+//! exactly through [`rvz_uarch::CpuUnderTest::carried_state`]), its
+//! samples stand in for every remaining pass.  Traces are byte-identical
+//! to the full schedule; [`Executor::simulated_passes`] and
+//! [`Executor::replayed_passes`] count what ran.
+//!
 //! # Example
 //!
 //! ```

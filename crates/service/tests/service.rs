@@ -367,21 +367,30 @@ fn watch_surfaces_server_gone_and_the_job_resumes_on_restart() {
     let mut client = Client::connect(addr).expect("client connects");
     let job = client.submit(&spec).expect("job accepted");
 
-    // Watch on a second connection; kill the server once events flow.
+    // Watch on a second connection; kill the server once the watcher's
+    // subscription is live, i.e. it has received its first event.  Before
+    // that, a shutdown can reset the connection while the `watch` request
+    // is still unanswered — a different error than `ServerGone`.
+    let (first_event, watching) = std::sync::mpsc::channel();
     let watcher = {
         let job = job.clone();
         let mut watch_client = Client::connect(addr).expect("watcher connects");
-        std::thread::spawn(move || watch_client.watch(&job, |_| {}))
-    };
-    {
-        let core = first.core();
-        let job = job.clone();
-        await_or_die(60, "first round events", move || {
-            core.events_from(&job, 0).expect("job known").iter().any(|e| {
-                e.get("event").and_then(Json::as_str) == Some("round")
+        std::thread::spawn(move || {
+            watch_client.watch(&job, |_| {
+                let _ = first_event.send(());
             })
-        });
-    }
+        })
+    };
+    watching
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the watcher receives its first event");
+    // The job must still be running when the server goes, or the watcher
+    // would see `done` instead of `ServerGone`.
+    let phase = first.core().status(&job).expect("job known").phase;
+    assert!(
+        matches!(phase, JobPhase::Queued | JobPhase::Running),
+        "the budget-200 job outlives its first event: {phase:?}"
+    );
     first.shutdown();
 
     // The distinct error: not a job failure, the job is spooled.

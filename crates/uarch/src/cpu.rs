@@ -114,6 +114,9 @@ impl SpecCpu {
     }
 
     /// Conditional-branch predictor statistics `(predictions, mispredictions)`.
+    ///
+    /// Statistics are not carried state: behind an executor that replays
+    /// converged repetitions they count only the simulated runs.
     pub fn predictor_stats(&self) -> (u64, u64) {
         (self.branch_predictor.predictions(), self.branch_predictor.mispredictions())
     }
@@ -1087,6 +1090,18 @@ impl CpuUnderTest for SpecCpu {
         self.rsb.reset();
         self.fill_buffer = 0;
     }
+
+    /// The cache contents, the fill buffer and all three predictors: every
+    /// field a run reads except the fixed configuration (the store buffer,
+    /// timing and assist state live only for one run).
+    fn carried_state(&self, out: &mut Vec<u64>) -> bool {
+        self.cache.export_contents(out);
+        out.push(self.fill_buffer);
+        self.branch_predictor.carried_state(out);
+        self.btb.carried_state(out);
+        self.rsb.carried_state(out);
+        true
+    }
 }
 
 #[cfg(test)]
@@ -1517,6 +1532,57 @@ mod tests {
         cpu.reset_uarch();
         assert_eq!(cpu.predictor_stats(), (0, 0));
         assert!(!cpu.cache().is_cached(tc.sandbox().base));
+    }
+
+    #[test]
+    fn carried_state_is_exact_and_ignores_statistics() {
+        let export = |cpu: &SpecCpu| {
+            let mut out = Vec::new();
+            assert!(cpu.carried_state(&mut out), "the simulator exports its state");
+            out
+        };
+        let tc = v1_gadget();
+        let mut cpu = SpecCpu::new(UarchConfig::skylake());
+        let mut i = Input::zeroed(tc.sandbox());
+        i.set_reg(Reg::Rax, 1);
+        run_cpu(&mut cpu, &tc, &i);
+        let base = export(&cpu);
+
+        // Statistics only (the predictor counters are covered in
+        // `predictors`): cache counters.
+        let mut stats = cpu.clone();
+        stats.cache.reset_counters();
+        assert_ne!(stats.cache.accesses(), cpu.cache.accesses());
+        assert_eq!(export(&stats), base);
+
+        // Two lines with equal ages in swapped positions of one set.
+        let line = |k: u64| 0x9000_0000 / 64 + k * 64;
+        let mut ab = cpu.clone();
+        let mut ba = cpu.clone();
+        ab.cache.flush_all();
+        ba.cache.flush_all();
+        ab.cache.prime_set(0, &[line(0), line(1)]);
+        ba.cache.prime_set(0, &[line(1), line(0)]);
+        for c in [&mut ab, &mut ba] {
+            c.cache.probe_set(0, &[line(0), line(1)]);
+        }
+        assert_eq!(ab.cache.set_tags(0), vec![line(0), line(1)]);
+        assert_eq!(ba.cache.set_tags(0), vec![line(1), line(0)]);
+        assert_ne!(export(&ab), export(&ba));
+
+        // One predictor field, and the fill buffer.
+        let mut trained = cpu.clone();
+        trained.branch_predictor.update(42, true);
+        assert_ne!(export(&trained), base);
+        let mut btb = cpu.clone();
+        btb.btb.update(1, BlockId(1));
+        assert_ne!(export(&btb), base);
+        let mut rsb = cpu.clone();
+        rsb.rsb.push(BlockId(1));
+        assert_ne!(export(&rsb), base);
+        let mut fill = cpu.clone();
+        fill.fill_buffer ^= 1;
+        assert_ne!(export(&fill), base);
     }
 
     #[test]

@@ -22,8 +22,14 @@
 //!   including the Coffee Lake behaviour where speculative stores already
 //!   modify the cache (§6.4).
 //!
-//! Revizor itself never looks inside this crate's state: it only compares
-//! hardware traces to hardware traces, exactly as MRT prescribes.
+//! Revizor's analysis never looks inside this crate's state: it only
+//! compares hardware traces to hardware traces, exactly as MRT prescribes.
+//! The one window into the state is [`CpuUnderTest::carried_state`], and it
+//! is the simulator declaring its own determinism, not an observation: the
+//! executor compares two exports for equality and, when the state a pass
+//! hands to the next has stopped changing, replays that pass's samples
+//! instead of re-simulating it.  A black-box or real-hardware backend keeps
+//! the default (no export) and is measured on the full schedule.
 //!
 //! # Example
 //!
@@ -75,6 +81,11 @@ use rvz_isa::{DecodedProgram, Input, TestCase};
 /// [`CpuUnderTest::run`] calls until [`CpuUnderTest::reset_uarch`] is called;
 /// this persistence is exactly what the executor's *priming* technique
 /// exploits to set the context deterministically (§5.3).
+///
+/// An implementation may additionally export that carried state through
+/// [`CpuUnderTest::carried_state`].  Doing so is a promise of determinism:
+/// the executor then skips repetitions whose starting state it has already
+/// measured from.
 pub trait CpuUnderTest {
     /// Human-readable name of the part, e.g. `"Skylake (V4 patch off)"`.
     fn name(&self) -> String;
@@ -109,4 +120,26 @@ pub trait CpuUnderTest {
 
     /// Reset every microarchitectural structure to power-on state.
     fn reset_uarch(&mut self);
+
+    /// Append the complete microarchitectural state carried from one run
+    /// to the next to `out` and return `true`, or return `false` (the
+    /// default) when the state cannot be exported.
+    ///
+    /// Implementing this promises that a run is a deterministic function
+    /// of the program, the input, the run options and this state, and
+    /// that two equal exports (same CPU configuration) mean equal states:
+    /// every structure a later run can observe must be in the export, in a
+    /// self-delimiting encoding.  Pure statistics that no run reads back
+    /// (prediction and cache hit/miss counters) stay out of it, and under
+    /// a replaying executor they count only the runs actually simulated.
+    ///
+    /// The executor relies on the promise when noise is off: once the
+    /// state at the start of a measured pass equals the state at its end,
+    /// every later pass would reproduce it sample for sample, so the
+    /// executor replays that pass's samples instead of re-running it.
+    /// Black-box and real-hardware backends keep the default and are
+    /// always measured on the full warm-up + repetition schedule.
+    fn carried_state(&self, _out: &mut Vec<u64>) -> bool {
+        false
+    }
 }

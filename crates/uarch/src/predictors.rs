@@ -21,6 +21,13 @@
 //! every rendering of predictor state — `Debug` output, snapshots, future
 //! serialized forms — is canonical: independent of insertion order and of
 //! any per-process hash seed.
+//!
+//! Every predictor also exports its *carried state* — everything that can
+//! influence a later prediction — as a self-delimiting word sequence
+//! (`carried_state`, a required method of all three traits).  The
+//! executor compares these exports to stop re-simulating repetitions once
+//! the CPU's state repeats; see
+//! [`CpuUnderTest::carried_state`](crate::CpuUnderTest::carried_state).
 
 use rvz_isa::BlockId;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -49,6 +56,14 @@ pub trait DirectionPredictor: fmt::Debug + Send + Sync {
     fn mispredictions(&self) -> u64;
     /// Forget everything (power-on state).
     fn reset(&mut self);
+    /// Append the carried state to `out`: every table, history register
+    /// and `seen_sites` entry, length-prefixed wherever a length varies.
+    /// Two predictors of one configuration must append equal sequences
+    /// exactly when their states are equal.  The
+    /// [`predictions`](DirectionPredictor::predictions)/[`mispredictions`](DirectionPredictor::mispredictions)
+    /// statistics are not state and are left out, so they count only the
+    /// runs the executor actually simulates.
+    fn carried_state(&self, out: &mut Vec<u64>);
     /// Clone into a box (object-safe `Clone`).
     fn clone_box(&self) -> Box<dyn DirectionPredictor>;
 }
@@ -67,6 +82,9 @@ pub trait TargetPredictor: fmt::Debug + Send + Sync {
     fn update(&mut self, site: BranchSite, target: BlockId);
     /// Forget everything.
     fn reset(&mut self);
+    /// Append the carried state (every entry, in table order) to `out`;
+    /// the contract of [`DirectionPredictor::carried_state`].
+    fn carried_state(&self, out: &mut Vec<u64>);
     /// Clone into a box (object-safe `Clone`).
     fn clone_box(&self) -> Box<dyn TargetPredictor>;
 }
@@ -87,6 +105,9 @@ pub trait ReturnPredictor: fmt::Debug + Send + Sync {
     fn depth(&self) -> usize;
     /// Forget everything.
     fn reset(&mut self);
+    /// Append the carried state (every slot and pointer) to `out`; the
+    /// contract of [`DirectionPredictor::carried_state`].
+    fn carried_state(&self, out: &mut Vec<u64>);
     /// Clone into a box (object-safe `Clone`).
     fn clone_box(&self) -> Box<dyn ReturnPredictor>;
 }
@@ -154,6 +175,13 @@ fn history_mask(bits: u32) -> u64 {
     }
 }
 
+/// Carried-state encoding of a `seen_sites` set: its length, then the
+/// sites in order.
+fn export_sites(sites: &BTreeSet<u64>, out: &mut Vec<u64>) {
+    out.push(sites.len() as u64);
+    out.extend(sites.iter().copied());
+}
+
 impl DirectionPredictor for BranchPredictor {
     fn predict(&self, site: BranchSite) -> bool {
         let c = self.counters.get(&self.key(site)).copied().unwrap_or(1);
@@ -192,6 +220,14 @@ impl DirectionPredictor for BranchPredictor {
     fn reset(&mut self) {
         let bits = self.history_bits;
         *self = BranchPredictor { history_bits: bits, ..BranchPredictor::default() };
+    }
+
+    fn carried_state(&self, out: &mut Vec<u64>) {
+        out.push(u64::from(self.history_bits));
+        out.push(self.history);
+        out.push(self.counters.len() as u64);
+        out.extend(self.counters.iter().flat_map(|(&key, &c)| [key, u64::from(c)]));
+        export_sites(&self.seen_sites, out);
     }
 
     fn clone_box(&self) -> Box<dyn DirectionPredictor> {
@@ -408,6 +444,19 @@ impl DirectionPredictor for Tage {
         *self = Tage::new();
     }
 
+    fn carried_state(&self, out: &mut Vec<u64>) {
+        self.base.carried_state(out);
+        out.push(self.history);
+        for table in &self.tables {
+            out.push(u64::from(table.history_len));
+            out.push(table.entries.len() as u64);
+            out.extend(table.entries.iter().flat_map(|(&idx, e)| {
+                [idx, e.tag, u64::from(e.ctr), u64::from(e.useful)]
+            }));
+        }
+        export_sites(&self.seen_sites, out);
+    }
+
     fn clone_box(&self) -> Box<dyn DirectionPredictor> {
         Box::new(self.clone())
     }
@@ -494,6 +543,15 @@ impl DirectionPredictor for LoopPredictor {
         *self = LoopPredictor::default();
     }
 
+    fn carried_state(&self, out: &mut Vec<u64>) {
+        out.push(self.loops.len() as u64);
+        out.extend(self.loops.iter().flat_map(|(&site, e)| {
+            [site, u64::from(e.trip), u64::from(e.current), u64::from(e.confidence)]
+        }));
+        self.fallback.carried_state(out);
+        export_sites(&self.seen_sites, out);
+    }
+
     fn clone_box(&self) -> Box<dyn DirectionPredictor> {
         Box::new(self.clone())
     }
@@ -528,6 +586,13 @@ impl TargetPredictor for Btb {
 
     fn reset(&mut self) {
         self.targets.clear();
+    }
+
+    fn carried_state(&self, out: &mut Vec<u64>) {
+        out.push(self.targets.len() as u64);
+        out.extend(
+            self.targets.iter().flat_map(|(&site, &target)| [site as u64, target.index() as u64]),
+        );
     }
 
     fn clone_box(&self) -> Box<dyn TargetPredictor> {
@@ -603,6 +668,13 @@ impl TargetPredictor for SetAssocBtb {
         }
     }
 
+    fn carried_state(&self, out: &mut Vec<u64>) {
+        for set in &self.sets {
+            out.push(set.len() as u64);
+            out.extend(set.iter().flat_map(|&(tag, target)| [tag, target.index() as u64]));
+        }
+    }
+
     fn clone_box(&self) -> Box<dyn TargetPredictor> {
         Box::new(self.clone())
     }
@@ -651,6 +723,11 @@ impl ReturnPredictor for Rsb {
 
     fn reset(&mut self) {
         self.stack.clear();
+    }
+
+    fn carried_state(&self, out: &mut Vec<u64>) {
+        out.push(self.stack.len() as u64);
+        out.extend(self.stack.iter().map(|b| b.index() as u64));
     }
 
     fn clone_box(&self) -> Box<dyn ReturnPredictor> {
@@ -708,6 +785,13 @@ impl ReturnPredictor for CyclicRsb {
         }
         self.top = 0;
         self.live = 0;
+    }
+
+    fn carried_state(&self, out: &mut Vec<u64>) {
+        out.push(self.top as u64);
+        out.push(self.live as u64);
+        // 0 for an empty slot, block index + 1 otherwise.
+        out.extend(self.ring.iter().map(|slot| slot.map_or(0, |b| b.index() as u64 + 1)));
     }
 
     fn clone_box(&self) -> Box<dyn ReturnPredictor> {
@@ -1286,5 +1370,122 @@ mod tests {
             btb_rev.update(site, BlockId(site % 4));
         }
         assert_eq!(format!("{btb_fwd:?}"), format!("{btb_rev:?}"));
+    }
+
+    fn direction_export(p: &dyn DirectionPredictor) -> Vec<u64> {
+        let mut out = Vec::new();
+        p.carried_state(&mut out);
+        out
+    }
+
+    /// Train a direction predictor on a short mixed pattern over two sites.
+    fn trained<P: DirectionPredictor + Clone>(mut p: P) -> P {
+        for k in 0..12 {
+            p.update(3, k % 3 != 0);
+            p.update(7, k % 2 == 0);
+        }
+        p
+    }
+
+    #[test]
+    fn direction_exports_cover_every_field_but_the_statistics() {
+        // One field changed: the export must change.
+        let bimodal = trained(BranchPredictor::with_history_bits(4));
+        let base = direction_export(&bimodal);
+        let mut history = bimodal.clone();
+        history.history ^= 1 << 40; // beyond the mixed bits, still state
+        let mut counter = bimodal.clone();
+        *counter.counters.values_mut().next().unwrap() ^= 1;
+        let mut seen = bimodal.clone();
+        seen.seen_sites.insert(99);
+        for changed in [&history, &counter, &seen] {
+            assert_ne!(direction_export(changed), base);
+        }
+        // Statistics only: the export is unchanged.
+        let mut stats = bimodal.clone();
+        stats.predictions += 5;
+        stats.mispredictions += 2;
+        assert_eq!(direction_export(&stats), base);
+
+        let tage = trained(Tage::new());
+        let base = direction_export(&tage);
+        let mut useful = tage.clone();
+        let entry = useful.tables.iter_mut().find_map(|t| t.entries.values_mut().next());
+        entry.expect("training allocated a tagged entry").useful ^= 1;
+        let mut history = tage.clone();
+        history.history ^= 1;
+        let mut inner = tage.clone();
+        inner.base.history ^= 1;
+        for changed in [&useful, &history, &inner] {
+            assert_ne!(direction_export(changed), base);
+        }
+        let mut stats = tage.clone();
+        stats.predictions += 1;
+        stats.base.mispredictions += 1;
+        assert_eq!(direction_export(&stats), base);
+
+        let lp = trained(LoopPredictor::new());
+        let base = direction_export(&lp);
+        let mut current = lp.clone();
+        current.loops.values_mut().next().unwrap().current += 1;
+        let mut fallback = lp.clone();
+        fallback.fallback.seen_sites.insert(1);
+        for changed in [&current, &fallback] {
+            assert_ne!(direction_export(changed), base);
+        }
+        let mut stats = lp.clone();
+        stats.mispredictions += 1;
+        assert_eq!(direction_export(&stats), base);
+    }
+
+    #[test]
+    fn target_and_return_exports_are_exact() {
+        let export_t = |p: &dyn TargetPredictor| {
+            let mut out = Vec::new();
+            p.carried_state(&mut out);
+            out
+        };
+        let export_r = |p: &dyn ReturnPredictor| {
+            let mut out = Vec::new();
+            p.carried_state(&mut out);
+            out
+        };
+
+        let mut btb = Btb::new();
+        btb.update(1, BlockId(2));
+        let mut other = btb.clone();
+        other.update(1, BlockId(3));
+        assert_ne!(export_t(&btb), export_t(&other));
+
+        // Same entries, different LRU order within the set.
+        let mut a = SetAssocBtb::aliasing_2x2();
+        let mut b = SetAssocBtb::aliasing_2x2();
+        a.update(0, BlockId(1));
+        a.update(2, BlockId(2));
+        b.update(2, BlockId(2));
+        b.update(0, BlockId(1));
+        assert_ne!(export_t(&a), export_t(&b));
+        b.update(2, BlockId(2));
+        assert_eq!(export_t(&a), export_t(&b));
+
+        let mut rsb = Rsb::with_capacity(4);
+        rsb.push(BlockId(1));
+        rsb.push(BlockId(2));
+        let mut swapped = Rsb::with_capacity(4);
+        swapped.push(BlockId(2));
+        swapped.push(BlockId(1));
+        assert_ne!(export_r(&rsb), export_r(&swapped));
+
+        // A cyclic RSB whose live region is empty still carries its stale
+        // slots and its top pointer.
+        let mut ring = CyclicRsb::with_capacity(2);
+        ring.push(BlockId(5));
+        ring.pop_predict();
+        let fresh = CyclicRsb::with_capacity(2);
+        assert_eq!(ring.depth(), fresh.depth());
+        assert_ne!(export_r(&ring), export_r(&fresh));
+        let mut moved = fresh.clone();
+        moved.top = 1;
+        assert_ne!(export_r(&moved), export_r(&fresh));
     }
 }
