@@ -87,12 +87,15 @@ impl ReadError {
 }
 
 impl Client {
-    /// Connect to a running `revizor-serve`.
+    /// Connect to a running `revizor-serve`.  The stream sets
+    /// `TCP_NODELAY`: every request is one small write whose answer the
+    /// client waits for.
     ///
     /// # Errors
     /// Propagates connection failures.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
         let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Client { writer, reader, token: None })
     }
@@ -270,5 +273,18 @@ impl Client {
                     .ok_or(WatchError::Other("done event carried no result".to_string()));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn client_streams_set_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = Client::connect(listener.local_addr().expect("addr")).expect("connect");
+        assert!(client.writer.nodelay().expect("query TCP_NODELAY"));
     }
 }

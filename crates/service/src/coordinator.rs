@@ -130,15 +130,18 @@ impl Coordinator {
 
     /// One non-blocking pass: accept workers, ingest their frames,
     /// forward cancels, lease (and steal) units for idle workers, flush.
-    /// Returns whether any progress was made (callers sleep briefly when
-    /// idle).
+    /// Returns whether any progress was made.  [`Coordinator::run`] polls
+    /// again at once after progress and otherwise waits for a core change
+    /// (a submission wakes it to lease at once) or the next step of the
+    /// idle backoff.  Once idle it polls every 2 ms and no more often,
+    /// because `reconcile_leases` and `dispatch` below scan every job.
     pub fn poll_once(&mut self) -> bool {
         let mut progress = false;
 
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_ok() {
+                    if framing::accepted(&stream).is_ok() {
                         self.conns.push(WorkerConn {
                             stream,
                             inbuf: Vec::new(),
@@ -555,11 +558,8 @@ impl Coordinator {
     /// Drive the reactor until the core stops, then tell every worker to
     /// shut down (best effort).
     pub fn run(mut self) {
-        while !self.core.stopped() {
-            if !self.poll_once() {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
+        let core = Arc::clone(&self.core);
+        framing::run_reactor(&core, || self.poll_once());
         for conn in &mut self.conns {
             conn.queue_line(&Json::obj().field("op", "shutdown"));
             // The socket is non-blocking; a backed-up buffer would make
@@ -629,5 +629,22 @@ impl CoordinatorHandle {
     /// Join the reactor thread (call after [`ServiceCore::stop`]).
     pub fn join(self) {
         let _ = self.thread.join();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ServiceConfig;
+
+    #[test]
+    fn accepted_worker_streams_set_nodelay() {
+        let core = ServiceCore::new(ServiceConfig::default()).expect("core");
+        let mut coordinator = Coordinator::bind(core, "127.0.0.1:0").expect("bind");
+        let _peer = TcpStream::connect(coordinator.local_addr()).expect("connect");
+        while coordinator.conns.is_empty() {
+            coordinator.poll_once();
+        }
+        assert!(coordinator.conns[0].stream.nodelay().expect("query TCP_NODELAY"));
     }
 }

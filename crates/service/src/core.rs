@@ -25,7 +25,7 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Configuration of a service instance.
 #[derive(Debug, Clone)]
@@ -168,6 +168,9 @@ struct CoreState {
     jobs: BTreeMap<String, JobEntry>,
     /// Submission order (the lease scan walks it; FIFO tie-break).
     order: Vec<String>,
+    /// Bumped on every signalled state change (see
+    /// [`ServiceCore::wait_for_change`]).
+    changes: u64,
 }
 
 /// Per-unit placement of a job, for `status` responses.
@@ -311,7 +314,7 @@ pub struct ServiceCore {
     auth: Option<BTreeMap<String, String>>,
     state: Mutex<CoreState>,
     /// Notified on every state change: submissions (wakes workers), events
-    /// and completions (wakes watchers / waiters).
+    /// and completions (wakes watchers, waiters and the reactors).
     changed: Condvar,
     stop: AtomicBool,
     counter: AtomicU64,
@@ -357,7 +360,7 @@ impl ServiceCore {
             Some(path) => Some(load_tokens(path)?),
             None => None,
         };
-        let mut state = CoreState { jobs: BTreeMap::new(), order: Vec::new() };
+        let mut state = CoreState { jobs: BTreeMap::new(), order: Vec::new(), changes: 0 };
         let mut next_counter = 1u64;
         if let Some(spool) = &spool {
             let mut records = spool.load_all();
@@ -489,8 +492,34 @@ impl ServiceCore {
     /// resumable in the spool.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        let _guard = self.state.lock().expect("core lock");
+        self.signal(&mut self.state.lock().expect("core lock"));
+    }
+
+    /// Record a state change and wake everything waiting on `changed`.
+    /// Takes the locked state, so the bump and the wake-up are atomic with
+    /// respect to a waiter's check.
+    fn signal(&self, state: &mut CoreState) {
+        state.changes += 1;
         self.changed.notify_all();
+    }
+
+    /// The reactors' idle wait: block until the core changes (a
+    /// submission, event, checkpoint, completion, cancellation or stop) or
+    /// `timeout` passes.  `seen` is the change count the caller observed at
+    /// its previous wait and is updated here; a change since then returns
+    /// at once, so one that lands while the caller polls its sockets is
+    /// never slept through.
+    pub(crate) fn wait_for_change(&self, seen: &mut u64, timeout: Duration) {
+        let deadline = Instant::now() + timeout;
+        let mut state = self.state.lock().expect("core lock");
+        while state.changes == *seen {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            state = self.changed.wait_timeout(state, left).expect("core lock").0;
+        }
+        *seen = state.changes;
     }
 
     /// Submit a job.  The spec is validated (targets/contracts must
@@ -579,7 +608,7 @@ impl ServiceCore {
         let mut state = self.state.lock().expect("core lock");
         state.order.push(job.clone());
         state.jobs.insert(job.clone(), entry);
-        self.changed.notify_all();
+        self.signal(&mut state);
         job
     }
 
@@ -722,8 +751,7 @@ impl ServiceCore {
         };
         let (record, version) = record;
         self.persist(&record, version);
-        let _guard = self.state.lock().expect("core lock");
-        self.changed.notify_all();
+        self.signal(&mut self.state.lock().expect("core lock"));
     }
 
     /// Lease the best queued work unit to the unit driver `worker` (a
@@ -851,7 +879,7 @@ impl ServiceCore {
         };
         let (record, version) = record;
         self.persist(&record, version);
-        self.changed.notify_all();
+        self.signal(&mut self.state.lock().expect("core lock"));
         UnitDisposition::Accepted
     }
 
@@ -1130,8 +1158,7 @@ impl ServiceCore {
             }
             Some((record, version)) => {
                 self.persist(&record, version);
-                let _guard = self.state.lock().expect("core lock");
-                self.changed.notify_all();
+                self.signal(&mut self.state.lock().expect("core lock"));
                 Ok(JobPhase::Running)
             }
         }
@@ -1171,8 +1198,7 @@ impl ServiceCore {
         };
         let (record, version) = record;
         self.persist(&record, version);
-        let _guard = self.state.lock().expect("core lock");
-        self.changed.notify_all();
+        self.signal(&mut self.state.lock().expect("core lock"));
     }
 
     /// Stamp an event with the next global sequence number.
@@ -1198,7 +1224,7 @@ impl ServiceCore {
                 entry.events.push(event);
             }
         }
-        self.changed.notify_all();
+        self.signal(&mut state);
     }
 
     /// Finish a job: store the result, drop the checkpoints, publish the
@@ -1222,11 +1248,15 @@ impl ServiceCore {
             drop_unit_checkpoints(entry);
             let done = self.stamp(done);
             entry.events.push(done);
-            Self::record_of(job, entry)
+            let record = Self::record_of(job, entry);
+            // Wake watchers now, like `publish`: the `done` line is in the
+            // log already, and the terminal record (which carries the
+            // whole result) can take milliseconds to write.
+            self.signal(&mut state);
+            record
         };
         let (record, version) = record;
         self.persist(&record, version);
-        self.changed.notify_all();
     }
 
     /// The body of one in-process shard thread: a unit driver on the same

@@ -1,11 +1,13 @@
-//! Shared non-blocking line-framing primitives for the poll reactors
-//! (the client front-end in [`crate::server`] and the worker-port
-//! coordinator in [`crate::coordinator`]).
+//! Shared non-blocking socket and line-framing primitives for the poll
+//! reactors (the client front-end in [`crate::server`] and the
+//! worker-port coordinator in [`crate::coordinator`]).
 //!
 //! Both reactors speak one JSON document per `\n`-terminated line over
 //! non-blocking sockets; the subtle edge cases (orderly close on `Ok(0)`,
 //! `WouldBlock` as "drained", hard errors as close, partial writes) live
-//! here once.
+//! here once, as do the options every accepted stream gets
+//! ([`accepted`]) and the loop that drives both reactors
+//! ([`run_reactor`]).
 //!
 //! The worker port additionally interleaves **binary frames**
 //! ([`rvz_bench::binfmt`]) on the same socket: a JSON line always opens
@@ -14,18 +16,67 @@
 //! transfers always travel as binary frames; control frames are JSON
 //! lines.
 
+use crate::core::ServiceCore;
 use rvz_bench::binfmt;
 use rvz_bench::json::Json;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
+
+/// Ready a freshly accepted stream for its reactor: non-blocking, and
+/// `TCP_NODELAY`.  Every frame of both protocols is one small write
+/// answered by the peer, so Nagle's algorithm would hold each one back
+/// until the peer's delayed ACK.
+pub(crate) fn accepted(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nonblocking(true)?;
+    stream.set_nodelay(true)
+}
+
+/// Drive a poll reactor until the core stops.  `poll_once` makes one
+/// non-blocking pass over the reactor's sockets and reports progress;
+/// after progress it runs again at once, otherwise the reactor waits for
+/// a core change ([`ServiceCore::wait_for_change`]) bounded by the next
+/// step of [`idle_backoff`].
+pub(crate) fn run_reactor(core: &ServiceCore, mut poll_once: impl FnMut() -> bool) {
+    let (mut seen, mut idle_polls) = (0, 0);
+    while !core.stopped() {
+        if poll_once() {
+            idle_polls = 0;
+        } else {
+            core.wait_for_change(&mut seen, idle_backoff(idle_polls));
+            idle_polls = idle_polls.saturating_add(1);
+        }
+    }
+}
+
+/// How long a reactor waits for the core to change before it polls its
+/// sockets again, after `idle_polls` consecutive polls without progress:
+/// 50 µs right after progress, doubling with every idle poll, capped at
+/// 2 ms.  Std has no readiness API, so socket input is only seen by
+/// polling; the short first waits catch the next request of a client
+/// that was just answered, and the cap keeps an idle reactor — whose
+/// coordinator pass scans every job — from polling more often than once
+/// per 2 ms.
+pub(crate) fn idle_backoff(idle_polls: u32) -> Duration {
+    const FIRST: Duration = Duration::from_micros(50);
+    const CAP: Duration = Duration::from_millis(2);
+    // 50 µs × 2^6 is past the cap already; the clamp keeps the shift small.
+    (FIRST * (1u32 << idle_polls.min(6))).min(CAP)
+}
 
 /// Drain everything currently readable into `inbuf`.  Returns
 /// `(progress, closed)`: whether any bytes arrived, and whether the
 /// connection ended (EOF or a hard error).
 pub(crate) fn read_available(stream: &mut TcpStream, inbuf: &mut Vec<u8>) -> (bool, bool) {
+    read_up_to(stream, inbuf, usize::MAX)
+}
+
+/// [`read_available`], but stop once `inbuf` holds more than `cap` bytes;
+/// the rest stays in the socket until the caller has consumed some.
+pub(crate) fn read_up_to(stream: &mut TcpStream, inbuf: &mut Vec<u8>, cap: usize) -> (bool, bool) {
     let mut progress = false;
     let mut buf = [0u8; 4096];
-    loop {
+    while inbuf.len() <= cap {
         match stream.read(&mut buf) {
             Ok(0) => return (progress, true),
             Ok(n) => {
@@ -36,19 +87,45 @@ pub(crate) fn read_available(stream: &mut TcpStream, inbuf: &mut Vec<u8>) -> (bo
             Err(_) => return (progress, true),
         }
     }
+    (progress, false)
 }
 
-/// Pop the next complete, non-blank line from `inbuf` (without its
-/// terminator), if one is buffered.
-pub(crate) fn next_line(inbuf: &mut Vec<u8>) -> Option<String> {
-    while let Some(pos) = inbuf.iter().position(|&b| b == b'\n') {
-        let line: Vec<u8> = inbuf.drain(..=pos).collect();
-        let line = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
-        if !line.trim().is_empty() {
-            return Some(line);
+/// Pop every complete, non-blank line buffered in `inbuf` into `lines`
+/// (without terminators, in order), draining them from `inbuf` at once.
+/// `scanned` carries how far earlier calls already searched the buffered
+/// partial line for its terminator: the search resumes there, so a line
+/// dripped in over many reads is scanned once in total.
+///
+/// # Errors
+/// When a line — terminated or not — is longer than `max_line` bytes.
+/// The complete lines before it are still pushed to `lines`.
+pub(crate) fn take_lines(
+    inbuf: &mut Vec<u8>,
+    scanned: &mut usize,
+    max_line: usize,
+    lines: &mut Vec<String>,
+) -> Result<(), String> {
+    let too_long = || Err(format!("request line longer than {max_line} bytes"));
+    let mut start = 0;
+    let result = loop {
+        let from = start + *scanned;
+        let Some(at) = inbuf[from..].iter().position(|&b| b == b'\n') else {
+            *scanned = inbuf.len() - start;
+            break if *scanned > max_line { too_long() } else { Ok(()) };
+        };
+        let end = from + at;
+        if end - start > max_line {
+            break too_long();
         }
-    }
-    None
+        let line = String::from_utf8_lossy(&inbuf[start..end]);
+        if !line.trim().is_empty() {
+            lines.push(line.into_owned());
+        }
+        start = end + 1;
+        *scanned = 0;
+    };
+    inbuf.drain(..start);
+    result
 }
 
 /// One frame popped off a mixed-format connection.
@@ -127,12 +204,42 @@ mod tests {
     use super::*;
 
     #[test]
-    fn next_line_skips_blanks_and_preserves_order() {
+    fn take_lines_skips_blanks_and_preserves_order() {
         let mut buf = b"\n  \n{\"a\":1}\n{\"b\":2}\npartial".to_vec();
-        assert_eq!(next_line(&mut buf).as_deref(), Some("{\"a\":1}"));
-        assert_eq!(next_line(&mut buf).as_deref(), Some("{\"b\":2}"));
-        assert_eq!(next_line(&mut buf), None, "incomplete line stays buffered");
-        assert_eq!(buf, b"partial");
+        let (mut scanned, mut lines) = (0, Vec::new());
+        take_lines(&mut buf, &mut scanned, 64, &mut lines).unwrap();
+        assert_eq!(lines, ["{\"a\":1}", "{\"b\":2}"]);
+        assert_eq!(buf, b"partial", "incomplete line stays buffered");
+        assert_eq!(scanned, buf.len());
+    }
+
+    #[test]
+    fn take_lines_resumes_a_dripped_line_and_caps_its_length() {
+        let (mut buf, mut scanned, mut lines) = (Vec::new(), 0, Vec::new());
+        for chunk in [&b"{\"op\""[..], b":\"pi", b"ng\"}", b"\n{\"x"] {
+            buf.extend_from_slice(chunk);
+            take_lines(&mut buf, &mut scanned, 16, &mut lines).unwrap();
+            assert_eq!(scanned, buf.len(), "the partial line is never searched twice");
+        }
+        assert_eq!(lines, ["{\"op\":\"ping\"}"]);
+        assert_eq!((buf.as_slice(), scanned), (&b"{\"x"[..], 3));
+        // A line at the cap passes; one byte more fails, terminated or not,
+        // and the complete lines before it are still returned.
+        let mut buf = b"0123456789abcdef\n0123456789abcdefg".to_vec();
+        let (mut scanned, mut lines) = (0, Vec::new());
+        assert!(take_lines(&mut buf, &mut scanned, 16, &mut lines).is_err());
+        assert_eq!(lines, ["0123456789abcdef"]);
+        let mut buf = b"0123456789abcdefg\n".to_vec();
+        assert!(take_lines(&mut buf, &mut 0, 16, &mut Vec::new()).is_err());
+    }
+
+    #[test]
+    fn idle_backoff_starts_short_never_shrinks_and_caps_at_2ms() {
+        assert!(idle_backoff(0) < Duration::from_millis(1));
+        let schedule: Vec<Duration> = (0..64).map(idle_backoff).collect();
+        assert!(schedule.windows(2).all(|w| w[0] <= w[1]), "never decreases: {schedule:?}");
+        assert_eq!(schedule.iter().max(), Some(&Duration::from_millis(2)));
+        assert_eq!(idle_backoff(u32::MAX), Duration::from_millis(2));
     }
 
     #[test]

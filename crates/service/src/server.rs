@@ -8,6 +8,21 @@
 //! (or replacing it with per-connection futures); no protocol or core
 //! changes are needed.
 //!
+//! ## Latency
+//!
+//! [`Server::run`] never sleeps blind.  Between polls that find no work
+//! it waits on the core's change condvar, so a submission, published
+//! event, checkpoint or completion wakes the reactor at once and a
+//! watcher's event goes out as soon as a shard publishes it.  Socket input
+//! has no such signal (std has no `select`), so the wait is bounded by
+//! an idle backoff: 50 µs right after progress, doubling on every idle
+//! poll, capped at the 2 ms an idle reactor always polled at.  Every
+//! accepted stream, like every [`Client`](crate::Client), sets
+//! `TCP_NODELAY`: requests, responses and watch events are small writes
+//! the peer waits on, which Nagle's algorithm would otherwise hold back
+//! until the peer's delayed ACK.  The coordinator's worker port does the
+//! same on both ends.
+//!
 //! ## Protocol
 //!
 //! One JSON object per line in both directions (`\n`-terminated).
@@ -50,6 +65,11 @@
 //! `"watermark"`, and the client should retry after the hint
 //! ([`Client::try_submit`](crate::Client::try_submit) surfaces this as a
 //! typed variant).
+//!
+//! **Line limit**: a request line may be at most [`MAX_REQUEST_LINE`]
+//! bytes.  A connection that sends a longer one, terminated or not, gets
+//! one `{"ok":false,"error":…}` answer and is closed; the reactor never
+//! buffers more than about that much of any connection's input.
 
 use crate::core::{ServiceCore, SubmitRejection};
 use crate::framing;
@@ -59,12 +79,18 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+
+/// The longest request line the client port accepts, in bytes (1 MiB).
+/// A `JobSpec` line is a few KiB even with hundreds of cells.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// One client connection of the reactor.
 struct Conn {
     stream: TcpStream,
     inbuf: Vec<u8>,
+    /// How much of the partial line at the head of `inbuf` has already
+    /// been searched for its terminator.
+    scanned: usize,
     outbuf: Vec<u8>,
     /// Active `watch` subscriptions: (job id, next event cursor).
     watches: Vec<(String, usize)>,
@@ -103,8 +129,9 @@ impl Server {
     }
 
     /// One non-blocking pass: accept, read, dispatch, stream watch events,
-    /// flush.  Returns whether any I/O progress was made (callers sleep
-    /// briefly when idle).
+    /// flush.  Returns whether any I/O progress was made.  [`Server::run`]
+    /// polls again at once after progress and otherwise waits for a core
+    /// change or the next step of the idle backoff (see the module docs).
     pub fn poll_once(&mut self) -> bool {
         let mut progress = false;
 
@@ -112,10 +139,11 @@ impl Server {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_ok() {
+                    if framing::accepted(&stream).is_ok() {
                         self.conns.push(Conn {
                             stream,
                             inbuf: Vec::new(),
+                            scanned: 0,
                             outbuf: Vec::new(),
                             watches: Vec::new(),
                             closed: false,
@@ -137,14 +165,27 @@ impl Server {
 
     /// Read, dispatch and write one connection; returns progress.
     fn service_conn(core: &Arc<ServiceCore>, conn: &mut Conn) -> bool {
-        // Read whatever is available.
-        let (mut progress, closed) = framing::read_available(&mut conn.stream, &mut conn.inbuf);
+        // Read what is available, up to one line past the limit.
+        let (mut progress, closed) =
+            framing::read_up_to(&mut conn.stream, &mut conn.inbuf, MAX_REQUEST_LINE);
         conn.closed |= closed;
 
         // Dispatch complete lines.
-        while let Some(line) = framing::next_line(&mut conn.inbuf) {
+        let mut lines = Vec::new();
+        let too_long =
+            framing::take_lines(&mut conn.inbuf, &mut conn.scanned, MAX_REQUEST_LINE, &mut lines)
+                .err();
+        for line in lines {
             let response = dispatch(core, &line, &mut conn.watches);
             conn.queue_line(&response);
+            progress = true;
+        }
+        if let Some(e) = too_long {
+            // The error is the connection's last line: no watch events
+            // follow it, and the flush below sends it before the close.
+            conn.queue_line(&error(format!("{e}; closing the connection")));
+            conn.watches.clear();
+            conn.closed = true;
             progress = true;
         }
 
@@ -172,13 +213,10 @@ impl Server {
         progress | wrote
     }
 
-    /// Drive the reactor until the core stops.
+    /// Drive the reactor until the core stops (see the module docs).
     pub fn run(mut self) {
-        while !self.core.stopped() {
-            if !self.poll_once() {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
+        let core = Arc::clone(&self.core);
+        framing::run_reactor(&core, || self.poll_once());
     }
 }
 
@@ -391,5 +429,22 @@ impl ServerHandle {
     /// Join the reactor thread (call after [`ServiceCore::stop`]).
     pub fn join(self) {
         let _ = self.thread.join();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ServiceConfig;
+
+    #[test]
+    fn accepted_client_streams_set_nodelay() {
+        let core = ServiceCore::new(ServiceConfig::default()).expect("core");
+        let mut server = Server::bind(core, "127.0.0.1:0").expect("bind");
+        let _peer = TcpStream::connect(server.local_addr()).expect("connect");
+        while server.conns.is_empty() {
+            server.poll_once();
+        }
+        assert!(server.conns[0].stream.nodelay().expect("query TCP_NODELAY"));
     }
 }

@@ -115,12 +115,17 @@ struct FrameConn {
 }
 
 impl FrameConn {
-    /// Connect, retrying for up to `retry_for`.
+    /// Connect, retrying for up to `retry_for`.  The stream sets
+    /// `TCP_NODELAY`: a wave transfer's tail and every control frame are
+    /// small writes the coordinator answers.
     fn connect(addr: &str, retry_for: Duration) -> io::Result<FrameConn> {
         let deadline = Instant::now() + retry_for;
         loop {
             match TcpStream::connect(addr) {
-                Ok(stream) => return Ok(FrameConn { stream, buf: Vec::new() }),
+                Ok(stream) => {
+                    stream.set_nodelay(true)?;
+                    return Ok(FrameConn { stream, buf: Vec::new() });
+                }
                 Err(e) if Instant::now() >= deadline => return Err(e),
                 Err(_) => std::thread::sleep(Duration::from_millis(50)),
             }
@@ -511,5 +516,19 @@ impl Worker {
             Ok(()) => Flow::Continue,
             Err(_) => Flow::Reconnect,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn coordinator_connections_set_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let conn = FrameConn::connect(&addr, Duration::ZERO).expect("connect");
+        assert!(conn.stream.nodelay().expect("query TCP_NODELAY"));
     }
 }

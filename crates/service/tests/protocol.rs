@@ -307,3 +307,53 @@ fn json_checkpoint_transfers_drop_the_peer() {
     assert!(!replies.contains("\"ack\""), "a JSON transfer is never acked: {replies}");
     handle.shutdown();
 }
+
+/// The client port caps request lines: a connection that floods one
+/// line past the limit gets one error answer and is closed, while another
+/// client on the same reactor keeps being answered.
+#[test]
+fn an_oversized_request_line_closes_only_its_own_connection() {
+    let handle = ServiceHandle::start(ServiceConfig {
+        shards: 1,
+        spool: None,
+        listen: Some("127.0.0.1:0".to_string()),
+        ..ServiceConfig::default()
+    })
+    .expect("service starts");
+    let addr = handle.local_addr().expect("TCP front-end attached");
+    let ping = Json::obj().field("op", "ping");
+    let mut bystander = Client::connect(addr).expect("bystander connects");
+    assert!(bystander.request(&ping).is_ok());
+
+    // Twice the limit, never terminated; the writes start failing once
+    // the server closes the connection.
+    let hostile = TcpStream::connect(addr).expect("hostile client connects");
+    let flooder = hostile.try_clone().expect("clone");
+    let flood = std::thread::spawn(move || {
+        let chunk = vec![b'x'; 64 << 10];
+        for _ in 0..2 * rvz_service::server::MAX_REQUEST_LINE / chunk.len() {
+            if (&flooder).write_all(&chunk).is_err() {
+                break;
+            }
+        }
+    });
+    hostile.set_read_timeout(Some(Duration::from_secs(30))).expect("set timeout");
+    let mut reader = BufReader::new(&hostile);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("the server answers the oversized line");
+    let response = parse(line.trim_end()).expect("the answer is valid JSON");
+    assert_eq!(response.get("ok").and_then(Json::as_bool), Some(false));
+    let message = response.get("error").and_then(Json::as_str).unwrap_or_default();
+    assert!(message.contains("longer than"), "unexpected error: {message}");
+    // Then the connection ends: EOF, or a reset for the unread flood.
+    let mut rest = Vec::new();
+    match std::io::Read::read_to_end(&mut reader, &mut rest) {
+        Ok(_) => assert!(rest.is_empty(), "nothing follows the error: {rest:?}"),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+    }
+    flood.join().expect("flooder");
+
+    let pong = bystander.request(&ping).expect("the bystander is still answered");
+    assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
+    handle.shutdown();
+}
