@@ -173,9 +173,9 @@ impl Visitor for JsonOut {
 
     fn blob(&mut self, key: Key, x: Slot<'_, Vec<u8>>) -> Visit<Self> {
         let bytes = x.value();
-        // Two lowercase digits per byte, without a `format!` (and its
-        // allocation) per byte: violation inputs carry whole sandboxes, and
-        // this loop once dominated building a job's result document.
+        // Two lowercase digits per byte from a table, not a `format!` (and
+        // its allocation) per byte: violation inputs carry whole sandboxes,
+        // so a result document runs this loop for hundreds of KB.
         const DIGITS: &[u8; 16] = b"0123456789abcdef";
         let mut hex = String::with_capacity(bytes.len() * 2);
         for byte in bytes {

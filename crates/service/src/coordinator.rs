@@ -230,7 +230,9 @@ impl Coordinator {
     /// Read and handle every complete frame (JSON line or binary) of one
     /// connection.
     fn service_conn(core: &Arc<ServiceCore>, conn: &mut WorkerConn) -> bool {
-        let (mut progress, closed) = framing::read_available(&mut conn.stream, &mut conn.inbuf);
+        // The worker port sets no cap on its peers' buffered input.
+        let (mut progress, closed) =
+            framing::read_available(&mut conn.stream, &mut conn.inbuf, usize::MAX);
         conn.closed |= closed;
         if progress {
             conn.last_heard = Instant::now();

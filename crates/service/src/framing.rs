@@ -64,16 +64,15 @@ pub(crate) fn idle_backoff(idle_polls: u32) -> Duration {
     (FIRST * (1u32 << idle_polls.min(6))).min(CAP)
 }
 
-/// Drain everything currently readable into `inbuf`.  Returns
-/// `(progress, closed)`: whether any bytes arrived, and whether the
-/// connection ended (EOF or a hard error).
-pub(crate) fn read_available(stream: &mut TcpStream, inbuf: &mut Vec<u8>) -> (bool, bool) {
-    read_up_to(stream, inbuf, usize::MAX)
-}
-
-/// [`read_available`], but stop once `inbuf` holds more than `cap` bytes;
-/// the rest stays in the socket until the caller has consumed some.
-pub(crate) fn read_up_to(stream: &mut TcpStream, inbuf: &mut Vec<u8>, cap: usize) -> (bool, bool) {
+/// Drain what is currently readable into `inbuf`, stopping once it holds
+/// more than `cap` bytes (the rest stays in the socket until the caller
+/// has consumed some).  Returns `(progress, closed)`: whether any bytes
+/// arrived, and whether the connection ended (EOF or a hard error).
+pub(crate) fn read_available(
+    stream: &mut TcpStream,
+    inbuf: &mut Vec<u8>,
+    cap: usize,
+) -> (bool, bool) {
     let mut progress = false;
     let mut buf = [0u8; 4096];
     while inbuf.len() <= cap {

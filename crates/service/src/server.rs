@@ -167,7 +167,7 @@ impl Server {
     fn service_conn(core: &Arc<ServiceCore>, conn: &mut Conn) -> bool {
         // Read what is available, up to one line past the limit.
         let (mut progress, closed) =
-            framing::read_up_to(&mut conn.stream, &mut conn.inbuf, MAX_REQUEST_LINE);
+            framing::read_available(&mut conn.stream, &mut conn.inbuf, MAX_REQUEST_LINE);
         conn.closed |= closed;
 
         // Dispatch complete lines.

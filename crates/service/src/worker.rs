@@ -217,7 +217,7 @@ impl FrameConn {
         }
         // Nothing complete buffered: drain whatever the socket has.
         self.stream.set_nonblocking(true)?;
-        let (_, closed) = framing::read_available(&mut self.stream, &mut self.buf);
+        let (_, closed) = framing::read_available(&mut self.stream, &mut self.buf, usize::MAX);
         self.stream.set_nonblocking(false)?;
         if closed {
             return Err(ErrorKind::UnexpectedEof.into());
